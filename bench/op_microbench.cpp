@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "checkpoint/format.h"
 #include "checkpoint/state.h"
@@ -87,11 +88,49 @@ static void BM_GemmShapeRef(benchmark::State& state) { gemm_shape_body(state, tr
 BENCHMARK(BM_GemmShape)
     ->ArgNames({"m", "k", "n"})
     ->Args({32, 288, 256})    // resnet conv-as-GEMM
-    ->Args({128, 32, 128});   // transformer FFN
+    ->Args({128, 32, 128})    // transformer FFN
+    ->Args({16, 144, 81});    // minigo conv-as-GEMM: 16 filters x 3x3x16 taps x 9x9 board
 BENCHMARK(BM_GemmShapeRef)
     ->ArgNames({"m", "k", "n"})
     ->Args({32, 288, 256})
-    ->Args({128, 32, 128});
+    ->Args({128, 32, 128})
+    ->Args({16, 144, 81});
+
+// Each kernel build the binary carries (tensor::detail::gemm_variants(), Arg
+// 0 = widest) at the MiniGo conv shape, for the float kernel (Arg 1 = 0) and
+// the double-accumulator dW kernel (Arg 1 = 1). Puts the avx2-vs-default
+// speedup on one binary and one host; a build this CPU cannot run is
+// skipped with an error.
+static void BM_GemmVariant(benchmark::State& state) {
+  const auto variants = tensor::detail::gemm_variants();
+  const std::size_t idx = static_cast<std::size_t>(state.range(0));
+  if (idx >= variants.size() || !variants[idx].host_supported) {
+    state.SkipWithError("no such kernel build on this host");
+    return;
+  }
+  const tensor::detail::GemmVariant& v = variants[idx];
+  state.SetLabel(v.isa);
+  const std::int64_t m = 16, k = 144, n = 81;
+  Rng rng(12);
+  Tensor a = Tensor::randn({m, k}, rng);
+  Tensor b = Tensor::randn({k, n}, rng);
+  Tensor c({m, n});
+  std::vector<float> bp(static_cast<std::size_t>(tensor::gemm_packed_b_size(k, n)));
+  tensor::gemm_pack_b(tensor::Trans::N, b.data(), n, k, n, bp.data());
+  const bool f64acc = state.range(1) != 0;
+  for (auto _ : state) {
+    if (f64acc)
+      v.f64acc(tensor::Trans::N, tensor::Trans::N, m, n, k, a.data(), k, b.data(), n, c.data(),
+               n);
+    else
+      v.packed(tensor::Trans::N, a.data(), k, bp.data(), m, n, k, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+BENCHMARK(BM_GemmVariant)
+    ->ArgNames({"variant", "f64acc"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 // Batched matmul at the attention shape of the suite's Transformer (batch 4,
 // 4 heads, seq 32, head dim 8): scores = Q K^T through the transposed-B
@@ -198,6 +237,27 @@ static void BM_Conv2dDw(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2dDw)->Arg(8)->Arg(16);
+
+// One sample's im2col lowering (3x3 kernel, stride 1, padding 1) at the
+// suite's two conv planes. Args are {channels, side}: {8, 16} is the first
+// ResNet-mini stage, {16, 9} the MiniGo tower on a 9x9 board.
+static void BM_Im2col(benchmark::State& state) {
+  nn::detail::ConvDims d{};
+  d.n = 1;
+  d.c = state.range(0);
+  d.h = d.w = d.oh = d.ow = state.range(1);
+  d.o = d.c;
+  d.kh = d.kw = 3;
+  Rng rng(15);
+  Tensor x = Tensor::randn({d.c, d.h, d.w}, rng);
+  std::vector<float> cols(static_cast<std::size_t>(d.c * 9 * d.oh * d.ow));
+  for (auto _ : state) {
+    nn::detail::im2col(x.data(), d, 1, 1, cols.data());
+    benchmark::DoNotOptimize(cols.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(cols.size()) * 4);
+}
+BENCHMARK(BM_Im2col)->ArgNames({"c", "hw"})->Args({8, 16})->Args({16, 9});
 
 // Full conv train step with the step-scoped im2col pack cache off (Arg 0) and
 // on (Arg 1). Doubles as the CI smoke check of the cache contract: the run
@@ -462,8 +522,12 @@ BENCHMARK(BM_CheckpointRestore);
 // into the benchmark context so --benchmark_format=json output is
 // self-describing (BENCH_kernels.json records which kernel produced a row).
 int main(int argc, char** argv) {
+  std::int64_t mr = tensor::kGemmMR;
+  for (const auto& v : tensor::detail::gemm_variants())
+    if (std::string(v.isa) == tensor::gemm_isa()) mr = v.mr;
   benchmark::AddCustomContext("gemm_kernel",
-                              "packed mr=" + std::to_string(tensor::kGemmMR) +
+                              std::string("packed isa=") + tensor::gemm_isa() +
+                                  " mr=" + std::to_string(mr) +
                                   " nr=" + std::to_string(tensor::kGemmNR) +
                                   " mc=" + std::to_string(tensor::kGemmMC));
   benchmark::AddCustomContext("num_threads_default",

@@ -33,6 +33,7 @@
 #include "harness/reference.h"
 #include "harness/run.h"
 #include "nn/functional.h"
+#include "tensor/gemm.h"
 #include "tensor/pool.h"
 
 using namespace mlperf;
@@ -128,7 +129,8 @@ int main(int argc, char** argv) {
   opts.op_profile = op_profile;
   opts.conv_pack_cache = conv_pack_cache;
   if (!conv_pack_cache) std::printf("im2col pack cache disabled\n");
-  std::printf("intra-op threads: %lld\n\n", static_cast<long long>(opts.num_threads));
+  std::printf("intra-op threads: %lld\n", static_cast<long long>(opts.num_threads));
+  std::printf("kernel ISA:       %s\n\n", tensor::gemm_isa());
   const harness::RunOutcome out =
       harness::run_to_target(*workload, spec.mini_quality, opts);
   if (out.resumed_from_epoch >= 0)

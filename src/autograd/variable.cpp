@@ -52,8 +52,17 @@ void Node::accumulate_grad(const Tensor& g) {
 
 }  // namespace detail
 
+namespace {
+thread_local bool t_no_grad = false;
+}  // namespace
+
+NoGradGuard::NoGradGuard() : prev_(t_no_grad) { t_no_grad = true; }
+NoGradGuard::~NoGradGuard() { t_no_grad = prev_; }
+bool NoGradGuard::active() { return t_no_grad; }
+
 Variable Variable::from_op(Tensor value, std::vector<Variable> parents, BackwardFn backward_fn) {
   Variable out(std::move(value));
+  if (t_no_grad) return out;
   bool rg = false;
   out.node_->parents.reserve(parents.size());
   for (const auto& p : parents) {

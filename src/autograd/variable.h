@@ -43,7 +43,8 @@ class Variable {
 
   /// Build a non-leaf from an op: `value` is the op output; `backward_fn`
   /// accumulates into the parents. The node requires grad iff any parent
-  /// does. This is the extension point `nn` uses for conv/pool/etc.
+  /// does and no NoGradGuard is alive. This is the extension point `nn` uses
+  /// for conv/pool/etc.
   static Variable from_op(tensor::Tensor value, std::vector<Variable> parents,
                           BackwardFn backward_fn);
 
@@ -71,6 +72,27 @@ class Variable {
 
  private:
   std::shared_ptr<detail::Node> node_;
+};
+
+/// Scope in which ops record no autograd graph, for forward passes whose
+/// output is never differentiated (evaluation, MCTS self-play). While a guard
+/// is alive on a thread, Variable::from_op on that thread keeps the op's value
+/// but records no parents and no backward closure, and the result does not
+/// require grad; conv2d also skips its im2col pack cache. Op values are
+/// computed exactly as without the guard, so forward outputs are bitwise
+/// unchanged. Guards nest; the outermost one restores recording.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+  /// True while a guard is alive on the calling thread.
+  static bool active();
+
+ private:
+  bool prev_;
 };
 
 /// Step-scoped accounting marker, the graph-side analogue of

@@ -70,6 +70,10 @@ inline constexpr const char* kTensorPoolStats = "tensor_pool_stats";
 // count. Makes hot-path claims (e.g. "the ResNet step is dW-bounded") in
 // EXPERIMENTS.md reproducible from a run log.
 inline constexpr const char* kOpProfile = "op_profile";
+// The GEMM kernel build this run dispatched to ("avx2" or "default", see
+// tensor::gemm_isa), logged with the run's metadata so a time-to-train says
+// which kernel produced it. Every build computes the same bits.
+inline constexpr const char* kKernelIsa = "kernel_isa";
 }  // namespace keys
 
 /// Append-only structured log for one training session. Serializes to JSON

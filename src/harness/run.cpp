@@ -7,6 +7,7 @@
 #include "core/op_profile.h"
 #include "nn/functional.h"
 #include "parallel/parallel_for.h"
+#include "tensor/gemm.h"
 #include "tensor/pool.h"
 #include "tensor/rng.h"
 
@@ -42,6 +43,7 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
     log.log(clock.now_ms(), core::keys::kHyperparameter, value, {{"name", name}});
   log.log(clock.now_ms(), core::keys::kGlobalBatchSize,
           static_cast<double>(workload.global_batch_size()));
+  log.log(clock.now_ms(), core::keys::kKernelIsa, std::string(tensor::gemm_isa()));
 
   // Untimed one-time data reformatting (§3.2.1). The reformat region is the
   // only place data may be touched before run_start.

@@ -230,6 +230,7 @@ void GnmtWorkload::train_epoch() {
 
 double GnmtWorkload::evaluate() {
   if (!dataset_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
   std::vector<TokenSeq> hyps, refs;
   std::vector<std::vector<std::int64_t>> buckets(
       static_cast<std::size_t>(config_.dataset.max_len + 1));

@@ -441,6 +441,7 @@ std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,
 }
 
 MaskRcnnWorkload::EvalDetail MaskRcnnWorkload::evaluate_detail() {
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
   metrics::GroundTruth gt;
   std::vector<metrics::Detection> detections;
   gt.per_image.resize(static_cast<std::size_t>(dataset_->val_size()));

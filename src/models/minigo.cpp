@@ -82,6 +82,7 @@ PolicyValueNet::Output PolicyValueNet::forward(const Variable& planes) {
 }
 
 std::pair<std::vector<float>, float> PolicyValueNet::infer(const Board& board) {
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
   const bool was_training = training();
   set_training(false);
   Tensor planes = board_planes(board);
@@ -362,6 +363,7 @@ void MiniGoWorkload::train_epoch() {
 
 double MiniGoWorkload::evaluate() {
   if (!net_) throw std::logic_error("MiniGoWorkload: not prepared");
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
   std::vector<std::int64_t> predicted, reference;
   for (const auto& game : references_) {
     Board board(game.board_size, game.komi);

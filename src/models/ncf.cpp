@@ -96,6 +96,7 @@ void NcfWorkload::train_epoch() {
 
 double NcfWorkload::evaluate() {
   if (!dataset_ || !model_) throw std::logic_error("NcfWorkload: not prepared");
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
   std::vector<std::vector<float>> scores;
   scores.reserve(static_cast<std::size_t>(dataset_->num_users()));
   for (std::int64_t u = 0; u < dataset_->num_users(); ++u) {

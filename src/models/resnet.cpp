@@ -153,6 +153,7 @@ void ResNetWorkload::train_epoch() {
 
 double ResNetWorkload::evaluate() {
   if (!data_prepared_ || !model_) throw std::logic_error("ResNetWorkload: not prepared");
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
   model_->set_training(false);
   tensor::Rng eval_rng(0);  // no augmentation, order irrelevant
   data::ImageLoader loader(splits_.val, config_.batch_size, nullptr, eval_rng);

@@ -320,6 +320,7 @@ std::vector<metrics::Detection> SsdWorkload::detect(const Tensor& image, std::in
 
 double SsdWorkload::evaluate() {
   if (!dataset_ || !model_) throw std::logic_error("SsdWorkload: not prepared");
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
   metrics::GroundTruth gt;
   std::vector<metrics::Detection> detections;
   gt.per_image.resize(static_cast<std::size_t>(dataset_->val_size()));

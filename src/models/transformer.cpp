@@ -213,6 +213,7 @@ void TransformerWorkload::train_epoch() {
 
 double TransformerWorkload::evaluate() {
   if (!dataset_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
   std::vector<TokenSeq> hyps, refs;
   // Translate per-length groups (batched greedy decode needs equal lengths).
   std::vector<std::vector<std::int64_t>> buckets(

@@ -35,9 +35,7 @@ Tensor xavier_uniform(Shape shape, std::int64_t fan_in, std::int64_t fan_out, te
 
 namespace {
 
-struct ConvDims {
-  std::int64_t n, c, h, w, o, kh, kw, oh, ow;
-};
+using detail::ConvDims;
 
 ConvDims conv_dims(const Tensor& input, const Tensor& weight, std::int64_t stride,
                    std::int64_t padding) {
@@ -58,7 +56,23 @@ ConvDims conv_dims(const Tensor& input, const Tensor& weight, std::int64_t strid
   return d;
 }
 
-// cols: [C*KH*KW, OH*OW] for one sample.
+// The output positions [lo, hi) of an n_out-long output axis whose input
+// coordinate o*stride + offset lies inside [0, extent).
+struct ValidRange {
+  std::int64_t lo, hi;
+};
+
+ValidRange valid_range(std::int64_t n_out, std::int64_t stride, std::int64_t offset,
+                       std::int64_t extent) {
+  const std::int64_t lo = std::min(n_out, offset >= 0 ? 0 : (stride - 1 - offset) / stride);
+  const std::int64_t hi = extent <= offset ? 0 : (extent - offset + stride - 1) / stride;
+  return {lo, std::clamp(hi, lo, n_out)};
+}
+
+}  // namespace
+
+namespace detail {
+
 void im2col(const float* src, const ConvDims& d, std::int64_t stride, std::int64_t padding,
             float* cols) {
   const std::int64_t patch = d.kh * d.kw;
@@ -66,15 +80,22 @@ void im2col(const float* src, const ConvDims& d, std::int64_t stride, std::int64
     for (std::int64_t p = 0; p < patch; ++p) {
       const std::int64_t ki = p / d.kw, kj = p % d.kw;
       float* row = cols + (c * patch + p) * (d.oh * d.ow);
-      for (std::int64_t oi = 0; oi < d.oh; ++oi) {
-        const std::int64_t ii = oi * stride - padding + ki;
-        for (std::int64_t oj = 0; oj < d.ow; ++oj) {
-          const std::int64_t jj = oj * stride - padding + kj;
-          row[oi * d.ow + oj] = (ii >= 0 && ii < d.h && jj >= 0 && jj < d.w)
-                                    ? src[(c * d.h + ii) * d.w + jj]
-                                    : 0.0f;
+      const ValidRange ro = valid_range(d.oh, stride, ki - padding, d.h);
+      const ValidRange co = valid_range(d.ow, stride, kj - padding, d.w);
+      std::fill(row, row + ro.lo * d.ow, 0.0f);
+      for (std::int64_t oi = ro.lo; oi < ro.hi; ++oi) {
+        float* out = row + oi * d.ow;
+        // Input index of output column oj is base + oj*stride (>= 0 inside co).
+        const std::int64_t base = (c * d.h + oi * stride - padding + ki) * d.w + kj - padding;
+        std::fill(out, out + co.lo, 0.0f);
+        if (stride == 1) {
+          std::copy(src + base + co.lo, src + base + co.hi, out + co.lo);
+        } else {
+          for (std::int64_t oj = co.lo; oj < co.hi; ++oj) out[oj] = src[base + oj * stride];
         }
+        std::fill(out + co.hi, out + d.ow, 0.0f);
       }
+      std::fill(row + ro.hi * d.ow, row + d.oh * d.ow, 0.0f);
     }
   }
 }
@@ -86,18 +107,28 @@ void col2im_accumulate(const float* cols, const ConvDims& d, std::int64_t stride
     for (std::int64_t p = 0; p < patch; ++p) {
       const std::int64_t ki = p / d.kw, kj = p % d.kw;
       const float* row = cols + (c * patch + p) * (d.oh * d.ow);
-      for (std::int64_t oi = 0; oi < d.oh; ++oi) {
-        const std::int64_t ii = oi * stride - padding + ki;
-        if (ii < 0 || ii >= d.h) continue;
-        for (std::int64_t oj = 0; oj < d.ow; ++oj) {
-          const std::int64_t jj = oj * stride - padding + kj;
-          if (jj < 0 || jj >= d.w) continue;
-          dst[(c * d.h + ii) * d.w + jj] += row[oi * d.ow + oj];
+      const ValidRange ro = valid_range(d.oh, stride, ki - padding, d.h);
+      const ValidRange co = valid_range(d.ow, stride, kj - padding, d.w);
+      for (std::int64_t oi = ro.lo; oi < ro.hi; ++oi) {
+        const float* in = row + oi * d.ow;
+        const std::int64_t base = (c * d.h + oi * stride - padding + ki) * d.w + kj - padding;
+        if (stride == 1) {
+          float* out = dst + base;
+          for (std::int64_t oj = co.lo; oj < co.hi; ++oj) out[oj] += in[oj];
+        } else {
+          for (std::int64_t oj = co.lo; oj < co.hi; ++oj) dst[base + oj * stride] += in[oj];
         }
       }
     }
   }
 }
+
+}  // namespace detail
+
+namespace {
+
+using detail::col2im_accumulate;
+using detail::im2col;
 
 // ---- step-scoped im2col pack cache -----------------------------------------
 
@@ -148,9 +179,11 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
 
   // When backward will need dW, keep this forward's patch slabs alive so the
   // dW pass reads them instead of re-running im2col per sample. An op whose
-  // slab would push the global live total past the cap just runs uncached.
+  // slab would push the global live total past the cap just runs uncached;
+  // under a NoGradGuard there is no backward, so nothing is cached.
   std::shared_ptr<PackCache> cache;
-  if (weight.requires_grad() && g_pack_cache_enabled.load(std::memory_order_relaxed)) {
+  if (weight.requires_grad() && !autograd::NoGradGuard::active() &&
+      g_pack_cache_enabled.load(std::memory_order_relaxed)) {
     const std::int64_t bytes =
         d.n * col_rows * col_cols * static_cast<std::int64_t>(sizeof(float));
     if (g_pack_cache_live.load(std::memory_order_relaxed) + bytes <=

@@ -93,4 +93,29 @@ autograd::Variable smooth_l1(const autograd::Variable& pred, const tensor::Tenso
 /// Mean squared error against a constant target of the same shape.
 autograd::Variable mse(const autograd::Variable& pred, const tensor::Tensor& target);
 
+namespace detail {
+
+/// NCHW conv2d geometry: input [n, c, h, w], weight [o, c, kh, kw], output
+/// [n, o, oh, ow].
+struct ConvDims {
+  std::int64_t n, c, h, w, o, kh, kw, oh, ow;
+};
+
+/// conv2d's lowering of one sample [c, h, w] to its patch matrix
+/// cols [c*kh*kw, oh*ow]; taps that fall in the zero padding read 0. Each
+/// (channel, ki, kj) row computes its in-bounds output range once, zero-fills
+/// the borders and copies the interior. Exposed for the bitwise refchecks in
+/// tests/test_nn.cpp.
+void im2col(const float* src, const ConvDims& d, std::int64_t stride, std::int64_t padding,
+            float* cols);
+
+/// The adjoint of im2col: adds every in-bounds entry of cols back onto its
+/// input position in dst [c, h, w]. Each dst element receives its adds in
+/// the same (channel, ki, kj, oi, oj) order as a per-element bounds-checked
+/// loop, so the result is bitwise identical to one.
+void col2im_accumulate(const float* cols, const ConvDims& d, std::int64_t stride,
+                       std::int64_t padding, float* dst);
+
+}  // namespace detail
+
 }  // namespace mlperf::nn

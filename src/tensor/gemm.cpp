@@ -1,6 +1,7 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "tensor/scratch.h"
 
@@ -8,16 +9,36 @@ namespace mlperf::tensor {
 
 namespace {
 
-constexpr std::int64_t MR = kGemmMR;
+// The drivers and micro-kernels below are written once and compiled once per
+// ISA variant (the table is detail::gemm_variants): every helper is
+// force-inlined into the per-ISA entry points, so the register-tile loops are
+// compiled for that entry point's target — 128-bit SSE2 in the default build,
+// 256-bit AVX2 in the avx2 build. No variant may enable FMA (a fused
+// multiply-add rounds once, so it changes the bits), and this file is
+// compiled with -ffp-contract=off.
+#define MLPERF_GEMM_INLINE inline __attribute__((always_inline))
+
+#if defined(__x86_64__) || defined(__i386__)
+#define MLPERF_GEMM_HAVE_AVX2 1
+#define MLPERF_GEMM_TARGET_AVX2 __attribute__((target("avx2")))
+#else
+#define MLPERF_GEMM_HAVE_AVX2 0
+#endif
+
 constexpr std::int64_t NR = kGemmNR;
 constexpr std::int64_t MC = kGemmMC;
+
+using f32x4 = float __attribute__((vector_size(16)));
+using f32x8 = float __attribute__((vector_size(32)));
 
 // Pack one MR-row strip of op(A) k-major: ap[p*MR + r] = opA[i0+r][p].
 // rs/cs are the row/column strides of op(A) over the stored matrix, so the
 // same routine serves both orientations. Rows past `mr` are zero-padded;
 // their accumulator lanes are computed but never stored.
-void pack_a_strip(const float* a, std::int64_t rs, std::int64_t cs, std::int64_t i0,
-                  std::int64_t mr, std::int64_t k, float* ap) {
+template <std::int64_t MR>
+MLPERF_GEMM_INLINE void pack_a_strip(const float* a, std::int64_t rs, std::int64_t cs,
+                                     std::int64_t i0, std::int64_t mr, std::int64_t k,
+                                     float* ap) {
   for (std::int64_t p = 0; p < k; ++p) {
     float* dst = ap + p * MR;
     const float* src = a + i0 * rs + p * cs;
@@ -27,54 +48,233 @@ void pack_a_strip(const float* a, std::int64_t rs, std::int64_t cs, std::int64_t
   }
 }
 
-// MR x NR register tile: acc starts from the existing C values and folds the
+// The register tiles are written with GCC/Clang generic vectors of type V,
+// one register of the target: f32x4 (SSE2) in the default build, f32x8 in
+// the avx2 build. A tile row of NR floats is NR / lanes(V) vectors. Element-
+// wise `acc += a * b` is still one multiply and one add per element, each
+// rounded on its own, so the vector width never changes a bit. Vectors move
+// through memcpy of exactly one vector, which compiles to a plain unaligned
+// load or store.
+template <class V>
+inline constexpr std::int64_t kLanes = sizeof(V) / sizeof(float);
+
+// The double vector of the same byte width as V (half its lanes).
+template <class V>
+struct Widened;
+template <>
+struct Widened<f32x4> {
+  using type = double __attribute__((vector_size(16)));
+};
+template <>
+struct Widened<f32x8> {
+  using type = double __attribute__((vector_size(32)));
+};
+
+// MR x NR float tile: acc starts from the existing C values and folds the
 // packed panels' k-products in ascending k, one float accumulator per
 // element — the exact accumulation order of gemm_accumulate_ref, which is
-// what keeps the packed kernel bitwise equal to it. The fixed-extent inner
-// loops auto-vectorize; edge tiles only bound the C loads/stores.
-void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c, std::int64_t ldc,
-                  std::int64_t mr, std::int64_t nr) {
-  float acc[MR][NR];
-  for (std::int64_t r = 0; r < MR; ++r)
-    for (std::int64_t j = 0; j < NR; ++j) acc[r][j] = 0.0f;
-  for (std::int64_t r = 0; r < mr; ++r)
-    for (std::int64_t j = 0; j < nr; ++j) acc[r][j] = c[r * ldc + j];
-  for (std::int64_t p = 0; p < k; ++p) {
-    const float* av = ap + p * MR;
-    const float* bv = bp + p * NR;
-    for (std::int64_t r = 0; r < MR; ++r) {
-      const float arp = av[r];
-      for (std::int64_t j = 0; j < NR; ++j) acc[r][j] += arp * bv[j];
+// what keeps the packed kernel bitwise equal to it. Edge tiles run through a
+// zero-padded copy of their C block whose padding lanes are never stored.
+template <class V, std::int64_t MR>
+struct FloatTile {
+  static constexpr std::int64_t kMR = MR;
+  static constexpr std::int64_t kRowVecs = NR / kLanes<V>;
+
+  static MLPERF_GEMM_INLINE void fold(std::int64_t k, const float* ap, const float* bp, float* c,
+                                      std::int64_t ldc) {
+    V acc[MR][kRowVecs];
+    for (std::int64_t r = 0; r < MR; ++r)
+      for (std::int64_t v = 0; v < kRowVecs; ++v)
+        std::memcpy(&acc[r][v], c + r * ldc + v * kLanes<V>, sizeof(V));
+    for (std::int64_t p = 0; p < k; ++p) {
+      V bv[kRowVecs];
+      for (std::int64_t v = 0; v < kRowVecs; ++v)
+        std::memcpy(&bv[v], bp + p * NR + v * kLanes<V>, sizeof(V));
+      for (std::int64_t r = 0; r < MR; ++r)
+        for (std::int64_t v = 0; v < kRowVecs; ++v) acc[r][v] += ap[p * MR + r] * bv[v];
+    }
+    for (std::int64_t r = 0; r < MR; ++r)
+      for (std::int64_t v = 0; v < kRowVecs; ++v)
+        std::memcpy(c + r * ldc + v * kLanes<V>, &acc[r][v], sizeof(V));
+  }
+
+  static MLPERF_GEMM_INLINE void run(std::int64_t k, const float* ap, const float* bp, float* c,
+                                     std::int64_t ldc, std::int64_t mr, std::int64_t nr) {
+    if (mr == MR && nr == NR) return fold(k, ap, bp, c, ldc);
+    float edge[MR][NR] = {};
+    for (std::int64_t r = 0; r < mr; ++r)
+      for (std::int64_t j = 0; j < nr; ++j) edge[r][j] = c[r * ldc + j];
+    fold(k, ap, bp, &edge[0][0], NR);
+    for (std::int64_t r = 0; r < mr; ++r)
+      for (std::int64_t j = 0; j < nr; ++j) c[r * ldc + j] = edge[r][j];
+  }
+};
+
+// Double-accumulator twin of FloatTile for the dW numerics contract: the
+// product stays float (rounding exactly where the naive `acc += g*c` loop
+// rounds) and is then widened, the fold is double, one accumulator per
+// element, ascending k. Overwrite semantics — acc starts at zero and C is
+// stored, not added to. Each float product vector widens into two double
+// vectors D of half its lanes.
+template <class V, std::int64_t MR>
+struct DoubleTile {
+  static constexpr std::int64_t kMR = MR;
+  static constexpr std::int64_t kRowVecs = NR / kLanes<V>;
+  static constexpr std::int64_t kHalf = kLanes<V> / 2;
+  using D = typename Widened<V>::type;
+
+  static MLPERF_GEMM_INLINE void run(std::int64_t k, const float* ap, const float* bp, float* c,
+                                     std::int64_t ldc, std::int64_t mr, std::int64_t nr) {
+    D acc[MR][2 * kRowVecs] = {};
+    for (std::int64_t p = 0; p < k; ++p) {
+      V bv[kRowVecs];
+      for (std::int64_t v = 0; v < kRowVecs; ++v)
+        std::memcpy(&bv[v], bp + p * NR + v * kLanes<V>, sizeof(V));
+      for (std::int64_t r = 0; r < MR; ++r)
+        for (std::int64_t v = 0; v < kRowVecs; ++v) {
+          const V prod = ap[p * MR + r] * bv[v];
+          D lo, hi;
+          for (std::int64_t l = 0; l < kHalf; ++l) {
+            lo[l] = prod[l];
+            hi[l] = prod[kHalf + l];
+          }
+          acc[r][2 * v] += lo;
+          acc[r][2 * v + 1] += hi;
+        }
+    }
+    for (std::int64_t r = 0; r < mr; ++r)
+      for (std::int64_t j = 0; j < nr; ++j)
+        c[r * ldc + j] = static_cast<float>(acc[r][j / kHalf][j % kHalf]);
+  }
+};
+
+// The blocked driver both kernels share: op(A) is packed MC rows at a time
+// into the calling thread's arena, then every [k][NR] panel of the packed B
+// stays L1-hot while this row block's A strips stream past it. K is not
+// blocked, so each C element is folded by exactly one Tile::run call.
+template <class Tile>
+MLPERF_GEMM_INLINE void blocked_gemm(Trans ta, const float* a, std::int64_t lda,
+                                     const float* bp, std::int64_t m, std::int64_t n,
+                                     std::int64_t k, float* c, std::int64_t ldc) {
+  constexpr std::int64_t MR = Tile::kMR;
+  static_assert(MC % MR == 0, "MC must be a whole number of MR strips");
+  const std::int64_t rs = ta == Trans::N ? lda : 1;
+  const std::int64_t cs = ta == Trans::N ? 1 : lda;
+  ScratchArena::Frame frame(ScratchArena::tls());
+  const std::int64_t mc_cap = std::min(MC, (m + MR - 1) / MR * MR);
+  float* ap = frame.alloc(mc_cap * k);
+  for (std::int64_t ic = 0; ic < m; ic += MC) {
+    const std::int64_t mc = std::min(MC, m - ic);
+    const std::int64_t strips = (mc + MR - 1) / MR;
+    for (std::int64_t s = 0; s < strips; ++s) {
+      const std::int64_t i0 = ic + s * MR;
+      pack_a_strip<MR>(a, rs, cs, i0, std::min(MR, m - i0), k, ap + s * MR * k);
+    }
+    for (std::int64_t j0 = 0; j0 < n; j0 += NR) {
+      const std::int64_t nr = std::min(NR, n - j0);
+      const float* bpanel = bp + j0 * k;
+      for (std::int64_t s = 0; s < strips; ++s) {
+        const std::int64_t i0 = ic + s * MR;
+        Tile::run(k, ap + s * MR * k, bpanel, c + i0 * ldc + j0, ldc, std::min(MR, m - i0), nr);
+      }
     }
   }
-  for (std::int64_t r = 0; r < mr; ++r)
-    for (std::int64_t j = 0; j < nr; ++j) c[r * ldc + j] = acc[r][j];
 }
 
-// Double-accumulator twin of micro_kernel for the dW numerics contract: the
-// product stays float (rounding exactly where the naive `acc += g*c` loop
-// rounds), the fold is double, one accumulator per element, ascending k.
-// Overwrite semantics — acc starts at zero and C is stored, not added to.
-// NR double lanes still auto-vectorize (two AVX double vectors per row).
-void micro_kernel_f64(std::int64_t k, const float* ap, const float* bp, float* c,
-                      std::int64_t ldc, std::int64_t mr, std::int64_t nr) {
-  double acc[MR][NR];
-  for (std::int64_t r = 0; r < MR; ++r)
-    for (std::int64_t j = 0; j < NR; ++j) acc[r][j] = 0.0;
-  for (std::int64_t p = 0; p < k; ++p) {
-    const float* av = ap + p * MR;
-    const float* bv = bp + p * NR;
-    for (std::int64_t r = 0; r < MR; ++r) {
-      const float arp = av[r];
-      for (std::int64_t j = 0; j < NR; ++j)
-        acc[r][j] += static_cast<double>(arp * bv[j]);
-    }
+template <class V, std::int64_t MR>
+MLPERF_GEMM_INLINE void packed_body(Trans ta, const float* a, std::int64_t lda, const float* bp,
+                                    std::int64_t m, std::int64_t n, std::int64_t k, float* c,
+                                    std::int64_t ldc) {
+  if (m <= 0 || n <= 0 || k <= 0) return;  // k == 0: C += 0, nothing to do
+  blocked_gemm<FloatTile<V, MR>>(ta, a, lda, bp, m, n, k, c, ldc);
+}
+
+template <class V>
+MLPERF_GEMM_INLINE void f64acc_body(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                                    std::int64_t k, const float* a, std::int64_t lda,
+                                    const float* b, std::int64_t ldb, float* c,
+                                    std::int64_t ldc) {
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    // Overwrite contract: an empty fold stores float(0.0) everywhere, just
+    // as the naive loop's untouched `double acc = 0.0` would.
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t j = 0; j < n; ++j) c[i * ldc + j] = 0.0f;
+    return;
   }
-  for (std::int64_t r = 0; r < mr; ++r)
-    for (std::int64_t j = 0; j < nr; ++j) c[r * ldc + j] = static_cast<float>(acc[r][j]);
+  ScratchArena::Frame frame(ScratchArena::tls());
+  float* bp = frame.alloc(gemm_packed_b_size(k, n));
+  gemm_pack_b(tb, b, ldb, k, n, bp);
+  // Four rows of NR double lanes fill eight AVX registers; more would spill.
+  blocked_gemm<DoubleTile<V, 4>>(ta, a, lda, bp, m, n, k, c, ldc);
+}
+
+// ---- per-ISA entry points ---------------------------------------------------
+// The default build is the baseline-x86-64 kernel with the historical 4x8
+// tile. The avx2 build widens the float tile to 8x8: one 256-bit register per
+// tile row, eight independent accumulator chains to hide the add latency.
+// The tile shape only changes which C elements share a call, never the
+// per-element fold, so both builds are bitwise identical.
+
+void packed_default(Trans ta, const float* a, std::int64_t lda, const float* bp, std::int64_t m,
+                    std::int64_t n, std::int64_t k, float* c, std::int64_t ldc) {
+  packed_body<f32x4, kGemmMR>(ta, a, lda, bp, m, n, k, c, ldc);
+}
+
+void f64acc_default(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
+                    const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+                    std::int64_t ldc) {
+  f64acc_body<f32x4>(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+#if MLPERF_GEMM_HAVE_AVX2
+MLPERF_GEMM_TARGET_AVX2 void packed_avx2(Trans ta, const float* a, std::int64_t lda,
+                                         const float* bp, std::int64_t m, std::int64_t n,
+                                         std::int64_t k, float* c, std::int64_t ldc) {
+  packed_body<f32x8, 8>(ta, a, lda, bp, m, n, k, c, ldc);
+}
+
+MLPERF_GEMM_TARGET_AVX2 void f64acc_avx2(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                                         std::int64_t k, const float* a, std::int64_t lda,
+                                         const float* b, std::int64_t ldb, float* c,
+                                         std::int64_t ldc) {
+  f64acc_body<f32x8>(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
+}
+
+bool cpu_has_avx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+}
+#endif
+
+// The dispatched variant: the first (widest) one the host can run, resolved
+// once on first use.
+const detail::GemmVariant& active_variant() {
+  static const detail::GemmVariant* const chosen = [] {
+    for (const detail::GemmVariant& v : detail::gemm_variants())
+      if (v.host_supported) return &v;
+    return &detail::gemm_variants().back();
+  }();
+  return *chosen;
 }
 
 }  // namespace
+
+namespace detail {
+
+std::span<const GemmVariant> gemm_variants() {
+  static const GemmVariant variants[] = {
+#if MLPERF_GEMM_HAVE_AVX2
+      {"avx2", 8, cpu_has_avx2(), &packed_avx2, &f64acc_avx2},
+#endif
+      {"default", kGemmMR, true, &packed_default, &f64acc_default},
+  };
+  return variants;
+}
+
+}  // namespace detail
+
+const char* gemm_isa() { return active_variant().isa; }
 
 std::int64_t gemm_packed_b_size(std::int64_t k, std::int64_t n) {
   if (k <= 0 || n <= 0) return 0;
@@ -100,31 +300,7 @@ void gemm_pack_b(Trans tb, const float* b, std::int64_t ldb, std::int64_t k, std
 
 void gemm_packed(Trans ta, const float* a, std::int64_t lda, const float* bp, std::int64_t m,
                  std::int64_t n, std::int64_t k, float* c, std::int64_t ldc) {
-  if (m <= 0 || n <= 0 || k <= 0) return;  // k == 0: C += 0, nothing to do
-  const std::int64_t rs = ta == Trans::N ? lda : 1;
-  const std::int64_t cs = ta == Trans::N ? 1 : lda;
-  ScratchArena::Frame frame(ScratchArena::tls());
-  const std::int64_t mc_cap = std::min(MC, (m + MR - 1) / MR * MR);
-  float* ap = frame.alloc(mc_cap * k);
-  for (std::int64_t ic = 0; ic < m; ic += MC) {
-    const std::int64_t mc = std::min(MC, m - ic);
-    const std::int64_t strips = (mc + MR - 1) / MR;
-    for (std::int64_t s = 0; s < strips; ++s) {
-      const std::int64_t i0 = ic + s * MR;
-      pack_a_strip(a, rs, cs, i0, std::min(MR, m - i0), k, ap + s * MR * k);
-    }
-    // B panel innermost-reused: one [k][NR] panel stays L1-hot while the
-    // packed A strips of this row block stream past it.
-    for (std::int64_t j0 = 0; j0 < n; j0 += NR) {
-      const std::int64_t nr = std::min(NR, n - j0);
-      const float* bpanel = bp + j0 * k;
-      for (std::int64_t s = 0; s < strips; ++s) {
-        const std::int64_t i0 = ic + s * MR;
-        micro_kernel(k, ap + s * MR * k, bpanel, c + i0 * ldc + j0, ldc, std::min(MR, m - i0),
-                     nr);
-      }
-    }
-  }
+  active_variant().packed(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
 void gemm_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
@@ -167,38 +343,7 @@ void gemm_accumulate_ref(const float* a, const float* b, float* c, std::int64_t 
 void gemm_f64acc(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
                  const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
                  std::int64_t ldc) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    // Overwrite contract: an empty fold stores float(0.0) everywhere, just
-    // as the naive loop's untouched `double acc = 0.0` would.
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t j = 0; j < n; ++j) c[i * ldc + j] = 0.0f;
-    return;
-  }
-  const std::int64_t rs = ta == Trans::N ? lda : 1;
-  const std::int64_t cs = ta == Trans::N ? 1 : lda;
-  ScratchArena::Frame frame(ScratchArena::tls());
-  float* bp = frame.alloc(gemm_packed_b_size(k, n));
-  gemm_pack_b(tb, b, ldb, k, n, bp);
-  const std::int64_t mc_cap = std::min(MC, (m + MR - 1) / MR * MR);
-  float* ap = frame.alloc(mc_cap * k);
-  for (std::int64_t ic = 0; ic < m; ic += MC) {
-    const std::int64_t mc = std::min(MC, m - ic);
-    const std::int64_t strips = (mc + MR - 1) / MR;
-    for (std::int64_t s = 0; s < strips; ++s) {
-      const std::int64_t i0 = ic + s * MR;
-      pack_a_strip(a, rs, cs, i0, std::min(MR, m - i0), k, ap + s * MR * k);
-    }
-    for (std::int64_t j0 = 0; j0 < n; j0 += NR) {
-      const std::int64_t nr = std::min(NR, n - j0);
-      const float* bpanel = bp + j0 * k;
-      for (std::int64_t s = 0; s < strips; ++s) {
-        const std::int64_t i0 = ic + s * MR;
-        micro_kernel_f64(k, ap + s * MR * k, bpanel, c + i0 * ldc + j0, ldc,
-                         std::min(MR, m - i0), nr);
-      }
-    }
-  }
+  active_variant().f64acc(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_f64acc_ref(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace mlperf::tensor {
 
@@ -10,15 +11,48 @@ namespace mlperf::tensor {
 enum class Trans : std::uint8_t { N, T };
 
 // Blocking parameters of the packed kernel (see EXPERIMENTS.md, "GEMM
-// micro-kernel"). MR x NR is the register tile: NR = 8 matches one AVX
-// vector (two SSE vectors) so the inner loop auto-vectorizes under plain
-// -O2/-O3 without intrinsics. MC bounds the packed A panel so it stays
-// cache-resident while a B panel streams past it. K is not blocked: each
-// C element folds its k-products in one ascending pass, which is what
-// makes the kernel bitwise reproducible (see gemm_accumulate_ref).
+// micro-kernel"). MR x NR is the register tile of the default build: NR = 8
+// floats is two SSE2 vectors, the widest the baseline x86-64 target has. The
+// avx2 build (see gemm_isa) keeps NR = 8 — one 256-bit vector, so packed B
+// panels are the same for every build — and widens MR to 8. MC bounds the
+// packed A panel so it stays cache-resident while a B panel streams past it.
+// K is not blocked: each C element folds its k-products in one ascending
+// pass, which is what makes the kernel bitwise reproducible (see
+// gemm_accumulate_ref).
 inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 8;
 inline constexpr std::int64_t kGemmMC = 64;
+
+/// The kernel build gemm_packed and gemm_f64acc dispatch to on this host:
+/// "avx2" when the CPU supports AVX2, else "default" (baseline x86-64, or
+/// the only build on other architectures). Chosen once, on first use, from
+/// the CPU's feature flags; nothing else selects it. Every build computes
+/// the same bits, because none of them uses FMA: a fused multiply-add rounds
+/// once where `acc += a * b` rounds twice, which would change every 0-ULP
+/// pin and every recorded training outcome. The run's mlog records this
+/// name (key "kernel_isa") so a time-to-train says which kernel produced it.
+const char* gemm_isa();
+
+namespace detail {
+
+/// One compiled build of the two GEMM drivers. Exposed so tests can refcheck
+/// every build the binary carries, not only the dispatched one.
+struct GemmVariant {
+  const char* isa;
+  std::int64_t mr;      ///< float register-tile rows (NR is kGemmNR in every build)
+  bool host_supported;  ///< this CPU can execute it
+  void (*packed)(Trans ta, const float* a, std::int64_t lda, const float* bp, std::int64_t m,
+                 std::int64_t n, std::int64_t k, float* c, std::int64_t ldc);
+  void (*f64acc)(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
+                 const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+                 std::int64_t ldc);
+};
+
+/// Every build compiled in, in dispatch preference order (widest first).
+/// gemm_packed/gemm_f64acc run the first entry with host_supported set.
+std::span<const GemmVariant> gemm_variants();
+
+}  // namespace detail
 
 /// Floats needed for a packed B panel of op(B) with k rows and n columns
 /// (n rounded up to a multiple of kGemmNR, zero-padded).

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <thread>
 
 #include "checkpoint/state.h"
 #include "nn/functional.h"
@@ -358,6 +359,63 @@ TEST(ConvPackCache, CachedAndUncachedTrainingBitwiseIdentical) {
     EXPECT_EQ(want, conv_train_fingerprint(false, threads)) << "uncached, t=" << threads;
     EXPECT_EQ(want, conv_train_fingerprint(true, threads)) << "cached, t=" << threads;
   }
+}
+
+// ---- NoGradGuard ------------------------------------------------------------
+
+TEST(NoGradGuard, OpsRecordNoGraphAndValuesAreBitwiseUnchanged) {
+  Rng rng(60);
+  const Tensor x = Tensor::randn({2, 3, 6, 6}, rng);
+  Variable w(Tensor::randn({4, 3, 3, 3}, rng), true);
+  Variable b(Tensor::randn({4}, rng), true);
+  auto forward = [&] {
+    Variable y = nn::conv2d(Variable(x), w, b, 1, 1);
+    return sum_all(mul(relu(y), y));
+  };
+  const Variable recorded = forward();
+  ASSERT_TRUE(recorded.requires_grad());
+  EXPECT_FALSE(recorded.node()->parents.empty());
+
+  NoGradGuard no_grad;
+  EXPECT_TRUE(NoGradGuard::active());
+  const Variable bare = forward();
+  EXPECT_FALSE(bare.requires_grad());
+  EXPECT_TRUE(bare.node()->parents.empty());
+  EXPECT_FALSE(bare.node()->backward_fn);
+  EXPECT_EQ(0, std::memcmp(recorded.value().data(), bare.value().data(), sizeof(float)));
+}
+
+TEST(NoGradGuard, ConvSkipsPackCacheUnderGuard) {
+  Rng rng(61);
+  const Tensor x = Tensor::randn({2, 3, 6, 6}, rng);
+  Variable w(Tensor::randn({4, 3, 3, 3}, rng), true);
+  nn::set_conv_pack_cache(true);
+  {
+    Variable y = nn::conv2d(Variable(x), w, Variable(), 1, 1);
+    EXPECT_GT(nn::conv_pack_cache_live_bytes(), 0) << "a recorded conv caches its patches";
+  }
+  EXPECT_EQ(0, nn::conv_pack_cache_live_bytes());
+  NoGradGuard no_grad;
+  Variable y = nn::conv2d(Variable(x), w, Variable(), 1, 1);
+  EXPECT_EQ(0, nn::conv_pack_cache_live_bytes()) << "no backward will read a cache";
+}
+
+TEST(NoGradGuard, NestsAndIsThreadLocal) {
+  EXPECT_FALSE(NoGradGuard::active());
+  {
+    NoGradGuard outer;
+    {
+      NoGradGuard inner;
+      EXPECT_TRUE(NoGradGuard::active());
+    }
+    EXPECT_TRUE(NoGradGuard::active()) << "closing the inner guard keeps the outer one";
+    bool other_thread_active = true;
+    std::thread([&] { other_thread_active = NoGradGuard::active(); }).join();
+    EXPECT_FALSE(other_thread_active);
+  }
+  EXPECT_FALSE(NoGradGuard::active());
+  Variable a(Tensor({2}, 1.0f), true);
+  EXPECT_TRUE(add(a, a).requires_grad()) << "recording resumes after the guard";
 }
 
 }  // namespace

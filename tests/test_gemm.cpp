@@ -12,8 +12,10 @@
 // to an epsilon compare.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -418,5 +420,132 @@ TEST_F(GemmTest, ConvDwOrientationMatchesOldInlineLoop) {
     tensor::gemm_f64acc(Trans::N, Trans::T, O, R, Q, g.data(), Q, cols.data(), Q, got.data(),
                         R);
     expect_bitwise_equal(want, got, "conv dW orientation");
+  }
+}
+
+// ---- every compiled kernel build -------------------------------------------
+//
+// gemm_packed and gemm_f64acc dispatch to one build (gemm_isa()), chosen from
+// the CPU's features. The tests above therefore pin only that build; these
+// run the same 0-ULP refchecks on every build the binary carries and this CPU
+// can execute, through the detail variant table: the edge shapes, all four
+// Trans orientations, and row-partitioned calls at 1/2/4/8 threads.
+
+namespace {
+
+struct Operands {
+  Tensor a, at, b, bt;  // op(A) = a or at^T, op(B) = b or bt^T
+};
+
+Operands make_operands(const Mkn& s, Rng& rng) {
+  Operands o;
+  o.a = Tensor::randn({std::max<std::int64_t>(s.m, 1), std::max<std::int64_t>(s.k, 1)}, rng);
+  o.b = Tensor::randn({std::max<std::int64_t>(s.k, 1), std::max<std::int64_t>(s.n, 1)}, rng);
+  o.at = o.a.transpose2d();
+  o.bt = o.b.transpose2d();
+  return o;
+}
+
+struct Orientation {
+  Trans ta, tb;
+  const char* name;
+};
+const Orientation kOrientations[] = {
+    {Trans::N, Trans::N, "NN"}, {Trans::T, Trans::N, "TN"},
+    {Trans::N, Trans::T, "NT"}, {Trans::T, Trans::T, "TT"}};
+
+// The stored matrix that presents op(X) in orientation t; ld() is its leading
+// dimension.
+const Tensor& stored(const Tensor& plain, const Tensor& transposed, Trans t) {
+  return t == Trans::N ? plain : transposed;
+}
+std::int64_t ld(const Tensor& t) { return t.shape()[1]; }
+
+// Calls `body(begin, end)` over row ranges of [0, m) split across `threads`
+// workers with a grain of one row, the way Tensor::matmul partitions C.
+template <class Body>
+void for_row_blocks(int threads, std::int64_t m, Body body) {
+  parallel::set_num_threads(threads);
+  parallel::parallel_for(1, m, body);
+}
+
+}  // namespace
+
+TEST_F(GemmTest, DispatchPicksFirstRunnableVariant) {
+  const auto variants = tensor::detail::gemm_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_STREQ("default", variants.back().isa);
+  EXPECT_TRUE(variants.back().host_supported);
+  EXPECT_EQ(tensor::kGemmMR, variants.back().mr);
+  const char* expected = nullptr;
+  for (const auto& v : variants)
+    if (v.host_supported && !expected) expected = v.isa;
+  EXPECT_STREQ(expected, tensor::gemm_isa());
+#if defined(__x86_64__)
+  EXPECT_STREQ("avx2", variants.front().isa) << "x86-64 builds must carry the avx2 kernels";
+#endif
+}
+
+TEST_F(GemmTest, EveryVariantPackedMatchesRefBitwise) {
+  for (const auto& v : tensor::detail::gemm_variants()) {
+    if (!v.host_supported) {
+      std::printf("[ SKIPPED  ] gemm variant %s: this CPU cannot run it\n", v.isa);
+      continue;
+    }
+    for (const auto& s : kShapes) {
+      Rng rng(120);
+      const Operands o = make_operands(s, rng);
+      Tensor want({s.m, s.n});
+      for (std::int64_t i = 0; i < want.numel(); ++i) want[i] = 0.25f * float(i % 7) - 0.5f;
+      const Tensor c0 = want;
+      tensor::gemm_accumulate_ref(o.a.data(), o.b.data(), want.data(), s.m, s.k, s.n);
+      std::vector<float> bp(static_cast<std::size_t>(tensor::gemm_packed_b_size(s.k, s.n)));
+      for (const Orientation& r : kOrientations) {
+        const Tensor& sa = stored(o.a, o.at, r.ta);
+        const Tensor& sb = stored(o.b, o.bt, r.tb);
+        tensor::gemm_pack_b(r.tb, sb.data(), ld(sb), s.k, s.n, bp.data());
+        for (int threads : {1, 2, 4, 8}) {
+          Tensor got = c0;
+          for_row_blocks(threads, s.m, [&](std::int64_t b, std::int64_t e) {
+            const float* a0 = sa.data() + (r.ta == Trans::N ? b * ld(sa) : b);
+            v.packed(r.ta, a0, ld(sa), bp.data(), e - b, s.n, s.k, got.data() + b * s.n, s.n);
+          });
+          SCOPED_TRACE(::testing::Message() << v.isa << " " << r.name << " threads=" << threads
+                                            << " m=" << s.m << " k=" << s.k << " n=" << s.n);
+          expect_bitwise_equal(want, got, "variant packed vs ref");
+        }
+      }
+    }
+  }
+}
+
+TEST_F(GemmTest, EveryVariantF64AccMatchesRefBitwise) {
+  for (const auto& v : tensor::detail::gemm_variants()) {
+    if (!v.host_supported) {
+      std::printf("[ SKIPPED  ] gemm variant %s: this CPU cannot run it\n", v.isa);
+      continue;
+    }
+    for (const auto& s : kShapes) {
+      Rng rng(121);
+      const Operands o = make_operands(s, rng);
+      Tensor want({s.m, s.n}, 9.0f);
+      tensor::gemm_f64acc_ref(Trans::N, Trans::N, s.m, s.n, s.k, o.a.data(), ld(o.a),
+                              o.b.data(), ld(o.b), want.data(), s.n);
+      for (const Orientation& r : kOrientations) {
+        const Tensor& sa = stored(o.a, o.at, r.ta);
+        const Tensor& sb = stored(o.b, o.bt, r.tb);
+        for (int threads : {1, 2, 4, 8}) {
+          Tensor got({s.m, s.n}, -1.25f);  // stale C pins the overwrite contract
+          for_row_blocks(threads, s.m, [&](std::int64_t b, std::int64_t e) {
+            const float* a0 = sa.data() + (r.ta == Trans::N ? b * ld(sa) : b);
+            v.f64acc(r.ta, r.tb, e - b, s.n, s.k, a0, ld(sa), sb.data(), ld(sb),
+                     got.data() + b * s.n, s.n);
+          });
+          SCOPED_TRACE(::testing::Message() << v.isa << " " << r.name << " threads=" << threads
+                                            << " m=" << s.m << " k=" << s.k << " n=" << s.n);
+          expect_bitwise_equal(want, got, "variant f64acc vs ref");
+        }
+      }
+    }
   }
 }

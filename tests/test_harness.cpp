@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/review.h"
 #include "harness/reference.h"
+#include "tensor/gemm.h"
 
 namespace mlperf::harness {
 namespace {
@@ -91,6 +93,23 @@ TEST(Harness, EvalIntervalSkipsEvaluations) {
   EXPECT_TRUE(out.quality_reached);
   EXPECT_EQ(out.epochs, 6);         // evals at 2, 4, 6
   EXPECT_EQ(out.curve.size(), 3u);
+}
+
+TEST(Harness, DispatchedKernelIsaIsLogged) {
+  ScriptedWorkload w({1.0});
+  core::QualityMetric target{"q", 0.5, true};
+  core::ManualClock clock;
+  const RunOutcome out = run_to_target(w, target, RunOptions{}, clock);
+  const core::LogEvent* isa = out.log.find(core::keys::kKernelIsa);
+  ASSERT_NE(isa, nullptr);
+  EXPECT_EQ(isa->as_string(), tensor::gemm_isa());
+  // Logged with the metadata, before the timed run starts.
+  const auto& events = out.log.events();
+  const auto at = [&](const char* key) {
+    return std::find_if(events.begin(), events.end(),
+                        [&](const core::LogEvent& e) { return e.key == key; });
+  };
+  EXPECT_LT(at(core::keys::kKernelIsa), at(core::keys::kRunStart));
 }
 
 TEST(Harness, SeedIsPassedToWorkloadAndLogged) {

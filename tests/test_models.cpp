@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "models/gnmt.h"
@@ -429,6 +431,28 @@ TEST(MiniGo, InferReturnsDistribution) {
   EXPECT_NEAR(sum, 1.0, 1e-4);
   EXPECT_GE(value, -1.0f);
   EXPECT_LE(value, 1.0f);
+}
+
+TEST(MiniGo, InferMatchesRecordedForwardBitwise) {
+  // infer() runs under a NoGradGuard; its outputs must equal those of the
+  // same forward pass with the autograd graph recorded.
+  Rng rng(22);
+  PolicyValueNet net({}, rng);
+  go::Board b(9);
+  b.play(go::Move::at(40));
+  b.play(go::Move::at(31));
+  auto [prior, value] = net.infer(b);
+  net.set_training(false);
+  Tensor batch({1, 3, 9, 9});
+  const Tensor planes = board_planes(b);
+  std::copy(planes.vec().begin(), planes.vec().end(), batch.vec().begin());
+  const auto out = net.forward(Variable(batch));
+  ASSERT_TRUE(out.value.requires_grad()) << "reference forward must record a graph";
+  const Tensor probs = out.policy_logits.value().softmax_last();
+  ASSERT_EQ(static_cast<std::int64_t>(prior.size()), probs.numel());
+  EXPECT_EQ(0, std::memcmp(prior.data(), probs.data(), prior.size() * sizeof(float)));
+  const float want_value = out.value.value()[0];
+  EXPECT_EQ(0, std::memcmp(&value, &want_value, sizeof(float)));
 }
 
 TEST(MiniGo, MctsVisitsSumToOneAndRespectLegality) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "nn/functional.h"
 #include "nn/serialize.h"
@@ -119,6 +121,124 @@ INSTANTIATE_TEST_SUITE_P(Configs, ConvParamSweep,
                                            ConvCase{2, 2, 5, 1, 2, 9},   // 5x5
                                            ConvCase{4, 1, 3, 3, 0, 9},   // stride 3
                                            ConvCase{1, 3, 2, 2, 0, 8})); // even kernel
+
+// ---- im2col / col2im: branch-free lowering vs the per-element loops -------
+//
+// The per-element bounds-tested loops conv2d used before nn::detail::im2col
+// and col2im_accumulate compute each row's in-bounds range once. Kept here,
+// verbatim, as the references: the new versions must be bitwise equal.
+
+void im2col_branchy_ref(const float* src, const detail::ConvDims& d, std::int64_t stride,
+                        std::int64_t padding, float* cols) {
+  const std::int64_t patch = d.kh * d.kw;
+  for (std::int64_t c = 0; c < d.c; ++c) {
+    for (std::int64_t p = 0; p < patch; ++p) {
+      const std::int64_t ki = p / d.kw, kj = p % d.kw;
+      float* row = cols + (c * patch + p) * (d.oh * d.ow);
+      for (std::int64_t oi = 0; oi < d.oh; ++oi) {
+        const std::int64_t ii = oi * stride - padding + ki;
+        for (std::int64_t oj = 0; oj < d.ow; ++oj) {
+          const std::int64_t jj = oj * stride - padding + kj;
+          row[oi * d.ow + oj] = (ii >= 0 && ii < d.h && jj >= 0 && jj < d.w)
+                                    ? src[(c * d.h + ii) * d.w + jj]
+                                    : 0.0f;
+        }
+      }
+    }
+  }
+}
+
+void col2im_accumulate_branchy_ref(const float* cols, const detail::ConvDims& d,
+                                   std::int64_t stride, std::int64_t padding, float* dst) {
+  const std::int64_t patch = d.kh * d.kw;
+  for (std::int64_t c = 0; c < d.c; ++c) {
+    for (std::int64_t p = 0; p < patch; ++p) {
+      const std::int64_t ki = p / d.kw, kj = p % d.kw;
+      const float* row = cols + (c * patch + p) * (d.oh * d.ow);
+      for (std::int64_t oi = 0; oi < d.oh; ++oi) {
+        const std::int64_t ii = oi * stride - padding + ki;
+        if (ii < 0 || ii >= d.h) continue;
+        for (std::int64_t oj = 0; oj < d.ow; ++oj) {
+          const std::int64_t jj = oj * stride - padding + kj;
+          if (jj < 0 || jj >= d.w) continue;
+          dst[(c * d.h + ii) * d.w + jj] += row[oi * d.ow + oj];
+        }
+      }
+    }
+  }
+}
+
+struct LoweringCase {
+  std::int64_t c, h, w, kh, kw, stride, pad;
+};
+
+std::vector<LoweringCase> lowering_cases() {
+  std::vector<LoweringCase> cases;
+  // The grid asked of every conv lowering: stride 1/2 x padding 0/1 x
+  // kernel 1/3 on square and non-square inputs.
+  for (std::int64_t stride : {1, 2})
+    for (std::int64_t pad : {0, 1})
+      for (std::int64_t k : {1, 3})
+        for (auto [h, w] : {std::pair<std::int64_t, std::int64_t>{6, 6}, {5, 7}, {8, 3}})
+          cases.push_back({2, h, w, k, k, stride, pad});
+  // Rectangular kernels, padding wider than half the kernel, stride 3.
+  cases.push_back({3, 7, 5, 1, 3, 1, 1});
+  cases.push_back({2, 4, 9, 3, 2, 2, 0});
+  cases.push_back({1, 5, 5, 3, 3, 1, 2});
+  cases.push_back({2, 9, 10, 5, 3, 3, 2});
+  return cases;
+}
+
+detail::ConvDims lowering_dims(const LoweringCase& lc) {
+  detail::ConvDims d{};
+  d.n = 1;
+  d.c = lc.c;
+  d.h = lc.h;
+  d.w = lc.w;
+  d.o = 1;
+  d.kh = lc.kh;
+  d.kw = lc.kw;
+  d.oh = (lc.h + 2 * lc.pad - lc.kh) / lc.stride + 1;
+  d.ow = (lc.w + 2 * lc.pad - lc.kw) / lc.stride + 1;
+  return d;
+}
+
+TEST(Im2col, BitwiseEqualToBranchyReference) {
+  Rng rng(130);
+  for (const LoweringCase& lc : lowering_cases()) {
+    const detail::ConvDims d = lowering_dims(lc);
+    ASSERT_GT(d.oh, 0);
+    ASSERT_GT(d.ow, 0);
+    const Tensor x = Tensor::randn({lc.c, lc.h, lc.w}, rng);
+    const std::int64_t n = lc.c * lc.kh * lc.kw * d.oh * d.ow;
+    // Stale contents differ between the two buffers, so every entry must be
+    // written, zeros included.
+    std::vector<float> want(static_cast<std::size_t>(n), 7.0f), got(want.size(), -3.0f);
+    im2col_branchy_ref(x.data(), d, lc.stride, lc.pad, want.data());
+    detail::im2col(x.data(), d, lc.stride, lc.pad, got.data());
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * sizeof(float)))
+        << "c=" << lc.c << " h=" << lc.h << " w=" << lc.w << " k=" << lc.kh << "x" << lc.kw
+        << " stride=" << lc.stride << " pad=" << lc.pad;
+  }
+}
+
+TEST(Col2im, BitwiseEqualToBranchyReference) {
+  Rng rng(131);
+  for (const LoweringCase& lc : lowering_cases()) {
+    const detail::ConvDims d = lowering_dims(lc);
+    const Tensor cols = Tensor::randn({lc.c * lc.kh * lc.kw, d.oh * d.ow}, rng);
+    // A nonzero starting dst pins accumulate (not overwrite) and the order of
+    // the adds each element receives.
+    const Tensor dst0 = Tensor::randn({lc.c, lc.h, lc.w}, rng);
+    Tensor want = dst0, got = dst0;
+    col2im_accumulate_branchy_ref(cols.data(), d, lc.stride, lc.pad, want.data());
+    detail::col2im_accumulate(cols.data(), d, lc.stride, lc.pad, got.data());
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                             static_cast<std::size_t>(want.numel()) * sizeof(float)))
+        << "c=" << lc.c << " h=" << lc.h << " w=" << lc.w << " k=" << lc.kh << "x" << lc.kw
+        << " stride=" << lc.stride << " pad=" << lc.pad;
+  }
+}
 
 TEST(Conv2d, ShapeErrorsThrow) {
   Rng rng(101);
