@@ -479,7 +479,7 @@ static void BM_CheckpointSave(benchmark::State& state) {
   std::size_t bytes = 0;
   for (auto _ : state) {
     checkpoint::CheckpointWriter ckpt;
-    w->save_state(ckpt);
+    checkpoint::write_state(ckpt, w->training_state());
     std::vector<std::uint8_t> buf = ckpt.serialize();
     bytes = buf.size();
     benchmark::DoNotOptimize(buf.data());
@@ -496,7 +496,7 @@ static void BM_CheckpointWriteFile(benchmark::State& state) {
   const std::string path = "bench_checkpoint.ckpt";
   for (auto _ : state) {
     checkpoint::CheckpointWriter ckpt;
-    w->save_state(ckpt);
+    checkpoint::write_state(ckpt, w->training_state());
     ckpt.write_file(path);
   }
   std::remove(path.c_str());
@@ -508,11 +508,11 @@ BENCHMARK(BM_CheckpointWriteFile);
 static void BM_CheckpointRestore(benchmark::State& state) {
   auto w = trained_smoke_workload();
   checkpoint::CheckpointWriter ckpt;
-  w->save_state(ckpt);
+  checkpoint::write_state(ckpt, w->training_state());
   const std::vector<std::uint8_t> bytes = ckpt.serialize();
   for (auto _ : state) {
     checkpoint::CheckpointReader r = checkpoint::CheckpointReader::parse(bytes, "bench");
-    w->restore_state(r);
+    checkpoint::read_state(r, w->training_state());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes.size()));
 }

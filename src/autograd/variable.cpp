@@ -175,13 +175,10 @@ std::int64_t GraphEpoch::last_pool_hits() {
 
 namespace {
 
-Variable broadcast_binary(const Variable& a, const Variable& b,
-                          const std::function<float(float, float)>& f,
-                          // dL/da given (out_grad, a_val, b_val) elementwise factor
-                          const std::function<Tensor(const Tensor&, const Variable&,
-                                                     const Variable&)>& grad_a,
-                          const std::function<Tensor(const Tensor&, const Variable&,
-                                                     const Variable&)>& grad_b) {
+/// grad_a/grad_b map (out_grad, a, b) to dL/da and dL/db.
+template <typename F, typename GradA, typename GradB>
+Variable broadcast_binary(const Variable& a, const Variable& b, F f, GradA grad_a,
+                          GradB grad_b) {
   Tensor out = a.value().binary(b.value(), f);
   auto an = a.node();
   auto bn = b.node();

@@ -24,8 +24,6 @@ std::array<std::uint32_t, 256> make_crc32c_table() {
   return table;
 }
 
-constexpr std::uint64_t kMaxNameLen = 1 << 16;
-
 }  // namespace
 
 std::uint32_t crc32c(const void* data, std::size_t size, std::uint32_t seed) {
@@ -60,9 +58,11 @@ void ByteReader::get_raw(void* out, std::size_t size) {
 
 std::string ByteReader::get_string() {
   const std::uint64_t n = get_u64();
-  if (n > kMaxNameLen)
-    throw CheckpointError("checkpoint section '" + section_ +
-                          "': implausible string length " + std::to_string(n));
+  // Bound by the payload, not a fixed cap: session logs can be long, and a
+  // corrupt length must fail here rather than allocate.
+  if (n > remaining())
+    throw CheckpointError("checkpoint section '" + section_ + "' truncated: string of " +
+                          std::to_string(n) + " bytes, have " + std::to_string(remaining()));
   std::string s(static_cast<std::size_t>(n), '\0');
   get_raw(s.data(), s.size());
   return s;

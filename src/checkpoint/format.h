@@ -32,13 +32,14 @@ class CheckpointError : public std::runtime_error {
 ///     u32 CRC32C of the payload
 ///     payload bytes
 ///
-/// Sections are independent byte blobs ("meta", "curve", "timer", "log",
-/// "model", "optimizer", "rng", ...); each carries its own CRC so corruption
-/// is localized in error messages. Files are written atomically
+/// Sections are independent byte blobs: the harness's "meta", "curve",
+/// "timer", "log" and "prior_logs", then the workload's "model", "optimizer",
+/// "rng" and "progress" (checkpoint::write_state). Each carries its own CRC so
+/// corruption is localized in error messages. Files are written atomically
 /// (core::atomic_write_file), so a crash mid-save never clobbers the previous
 /// checkpoint.
 inline constexpr std::uint32_t kMagic = 0x4B434C4DU;  // "MLCK" little-endian
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// CRC32C (Castagnoli), the checksum used per section. Software table
 /// implementation; `seed` chains incremental updates.

@@ -1,5 +1,7 @@
 #include "checkpoint/state.h"
 
+#include <stdexcept>
+
 namespace mlperf::checkpoint {
 
 namespace {
@@ -25,6 +27,12 @@ void read_named_tensor_into(ByteReader& in, const std::string& expect_name,
                           "': checkpoint " + shape_str(t.shape()) + ", live object " +
                           shape_str(dst.shape()));
   dst = std::move(t);
+}
+
+void require_complete(const TrainingState& state) {
+  if (!state.model || !state.optimizer || !state.rng)
+    throw std::logic_error("workload training state is empty or incomplete: it does not "
+                           "support checkpointing");
 }
 
 }  // namespace
@@ -106,7 +114,7 @@ void read_optimizer(ByteReader& in, optim::Optimizer& optimizer) {
 }
 
 void write_rng(ByteWriter& out, const tensor::Rng& rng) {
-  const tensor::Rng::State s = rng.save_state();
+  const tensor::Rng::State s = rng.state();
   out.put_u64(s.state);
   out.put_bool(s.has_cached_normal);
   out.put_f64(s.cached_normal);
@@ -117,7 +125,45 @@ void read_rng(ByteReader& in, tensor::Rng& rng) {
   s.state = in.get_u64();
   s.has_cached_normal = in.get_bool();
   s.cached_normal = in.get_f64();
-  rng.restore_state(s);
+  rng.set_state(s);
+}
+
+void write_state(CheckpointWriter& out, const TrainingState& state) {
+  require_complete(state);
+  write_module(out.section("model"), *state.model);
+  write_optimizer(out.section("optimizer"), *state.optimizer);
+  write_rng(out.section("rng"), *state.rng);
+  ByteWriter& progress = out.section("progress");
+  progress.put_u64(state.counters.size());
+  for (const auto& [name, value] : state.counters) {
+    progress.put_string(name);
+    progress.put_i64(*value);
+  }
+}
+
+void read_state(const CheckpointReader& in, const TrainingState& state) {
+  require_complete(state);
+  // Look up every section before restoring any, so a missing one leaves the
+  // workload untouched.
+  ByteReader model_in = in.section("model");
+  ByteReader opt_in = in.section("optimizer");
+  ByteReader rng_in = in.section("rng");
+  ByteReader progress = in.section("progress");
+  read_module(model_in, *state.model);
+  read_optimizer(opt_in, *state.optimizer);
+  read_rng(rng_in, *state.rng);
+  const std::uint64_t n = progress.get_u64();
+  if (n != state.counters.size())
+    throw CheckpointError("progress counter count mismatch: checkpoint has " +
+                          std::to_string(n) + ", workload has " +
+                          std::to_string(state.counters.size()));
+  for (const auto& [name, value] : state.counters) {
+    const std::string got = progress.get_string();
+    if (got != name)
+      throw CheckpointError("progress counter name mismatch: checkpoint has '" + got +
+                            "', workload expects '" + name + "'");
+    *value = progress.get_i64();
+  }
 }
 
 std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t h) {

@@ -1,6 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "checkpoint/format.h"
 #include "nn/module.h"
@@ -8,6 +11,28 @@
 #include "tensor/rng.h"
 
 namespace mlperf::checkpoint {
+
+/// A workload's complete training state, as pointers into the workload's own
+/// storage (cf. optim::OptimizerStateDict): the model's parameters and
+/// buffers, the optimizer's slots and step counters, the run rng, and any
+/// named progress counters (e.g. the LR-schedule step). The view is taken at
+/// an epoch boundary, where everything else a workload holds is either
+/// constant or a pure function of these. An empty view (null `model`) means
+/// the workload cannot be checkpointed.
+struct TrainingState {
+  nn::Module* model = nullptr;
+  optim::Optimizer* optimizer = nullptr;
+  tensor::Rng* rng = nullptr;
+  std::vector<std::pair<std::string, std::int64_t*>> counters;
+};
+
+/// Writes the workload sections "model", "optimizer", "rng" and "progress"
+/// (the named counters). Throws std::logic_error on an incomplete view.
+void write_state(CheckpointWriter& out, const TrainingState& state);
+/// Restores every section written by write_state in place, with the strict
+/// name/shape/count checks of the readers below; a missing section or a
+/// counter-name mismatch throws CheckpointError.
+void read_state(const CheckpointReader& in, const TrainingState& state);
 
 /// Serializers for the training-state building blocks workloads compose
 /// their checkpoint sections from. All readers are STRICT: counts, names and

@@ -37,7 +37,6 @@ ImageLoader::~ImageLoader() { wait_inflight(); }
 void ImageLoader::start_epoch() {
   wait_inflight();  // a pending batch still reads order_; let it finish
   inflight_.reset();
-  ++epochs_started_;
   order_ = rng_->permutation(static_cast<std::size_t>(set_->size()));
   cursor_ = 0;
   limit_ = set_->size();

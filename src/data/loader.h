@@ -66,12 +66,6 @@ class ImageLoader {
   /// split for the batch in flight, so a mid-epoch snapshot could not resume
   /// bitwise-identically.)
   bool epoch_exhausted() const;
-  /// Number of start_epoch() calls so far (construction counts as the
-  /// first). Checkpoints record it so a restored run can audit that it
-  /// resumes at the same traversal position.
-  std::int64_t epochs_started() const { return epochs_started_; }
-  std::int64_t cursor() const { return cursor_; }
-  std::int64_t epoch_limit() const { return limit_; }
 
  private:
   struct Inflight;
@@ -94,7 +88,6 @@ class ImageLoader {
   std::vector<std::size_t> order_;
   std::int64_t cursor_ = 0;
   std::int64_t limit_ = 0;
-  std::int64_t epochs_started_ = 0;
   std::shared_ptr<Inflight> inflight_;  // non-null = one batch pending/ready
 };
 

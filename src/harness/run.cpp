@@ -19,9 +19,9 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
   if (checkpointing && options.checkpoint_path.empty())
     throw std::invalid_argument(
         "run_to_target: checkpoint_every_n_epochs set but checkpoint_path is empty");
-  if ((checkpointing || !options.resume_from.empty()) && !workload.supports_checkpoint())
-    throw std::logic_error("run_to_target: workload '" + workload.name() +
-                           "' does not support checkpointing");
+  if (options.eval_interval < 1)
+    throw std::invalid_argument("run_to_target: eval_interval must be >= 1, got " +
+                                std::to_string(options.eval_interval));
 
   parallel::set_num_threads(options.num_threads);
   nn::set_conv_pack_cache(options.conv_pack_cache, options.conv_pack_cache_cap_bytes);
@@ -58,6 +58,11 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
     auto region = timer.model_creation_region();
     workload.build_model(options.seed);
   }
+  // Still untimed: a workload with an empty training-state view cannot be
+  // checkpointed, so fail before the run starts rather than at the first save.
+  if ((checkpointing || !options.resume_from.empty()) && !workload.training_state().model)
+    throw std::logic_error("run_to_target: workload '" + workload.name() +
+                           "' does not support checkpointing");
 
   timer.start_run();
 
@@ -65,6 +70,9 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
   // result, same as the checkpoint writes that made it possible.
   std::int64_t first_epoch = 0;
   std::string last_checkpoint = options.resume_from;
+  // Every earlier session's log, oldest first, carried verbatim from
+  // checkpoint to checkpoint so a second preemption cannot drop the first.
+  std::vector<std::string> prior_logs;
   if (!options.resume_from.empty()) {
     const double restore_t0 = clock.now_ms();
     checkpoint::CheckpointReader ckpt =
@@ -106,7 +114,11 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
     const double prior_timed = tsec.get_f64();
     const double prior_unexcluded = tsec.get_f64();
     timer.carry_prior(prior_timed, prior_unexcluded);
-    workload.restore_state(ckpt);
+    checkpoint::ByteReader prior = ckpt.section("prior_logs");
+    const std::uint64_t n_prior = prior.get_u64();
+    for (std::uint64_t i = 0; i < n_prior; ++i) prior_logs.push_back(prior.get_string());
+    prior_logs.push_back(ckpt.section("log").get_string());
+    checkpoint::read_state(ckpt, workload.training_state());
     outcome.epochs = first_epoch;
     outcome.resumed_from_epoch = first_epoch;
     log.log(clock.now_ms(), core::keys::kCheckpointRestored,
@@ -117,8 +129,9 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
   }
 
   // Snapshot the complete training state: the harness-owned sections (run
-  // identity, curve, timer accounting, this session's log so far) plus the
-  // workload-owned ones (model/optimizer/rng/...). Epoch-boundary only.
+  // identity, curve, timer accounting, this session's log so far, earlier
+  // sessions' logs) plus the workload's (checkpoint::write_state).
+  // Epoch-boundary only.
   auto save_checkpoint = [&](std::int64_t epochs_done) {
     const double save_t0 = clock.now_ms();
     checkpoint::CheckpointWriter w;
@@ -139,7 +152,10 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
     tsec.put_f64(timer.timed_so_far_ms());
     tsec.put_f64(timer.unexcluded_so_far_ms());
     w.section("log").put_string(log.serialize());
-    workload.save_state(w);
+    checkpoint::ByteWriter& prior = w.section("prior_logs");
+    prior.put_u64(prior_logs.size());
+    for (const std::string& s : prior_logs) prior.put_string(s);
+    checkpoint::write_state(w, workload.training_state());
     w.write_file(options.checkpoint_path);
     ++outcome.checkpoints_written;
     log.log(clock.now_ms(), core::keys::kCheckpointSaved, static_cast<double>(epochs_done),

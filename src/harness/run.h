@@ -62,7 +62,7 @@ struct RunOptions {
   std::int64_t max_epochs = 64;          ///< safety bound; quality should hit first
   double model_creation_cap_ms = 20.0 * 60.0 * 1000.0;  ///< paper: 20 min
   /// Evaluate every N epochs (quality is "evaluated at prescribed
-  /// intervals", §4.1). 1 = every epoch.
+  /// intervals", §4.1). 1 = every epoch; values below 1 are rejected.
   std::int64_t eval_interval = 1;
   /// Intra-op worker threads for the tensor kernels and the prefetching
   /// loader (parallel::set_num_threads). 1 = the exact single-threaded
@@ -102,8 +102,9 @@ struct RunOutcome {
   double unexcluded_time_ms = 0.0;  ///< without the §3.2.1 exclusions
   std::vector<EpochPoint> curve;
   /// Log of the FINAL session only. Prior preempted sessions' logs are
-  /// preserved verbatim inside the checkpoint's "log" section (a restarted
-  /// submission ships one log artifact per session).
+  /// preserved verbatim inside the checkpoint: the latest one in its "log"
+  /// section, every earlier one in "prior_logs" (a restarted submission
+  /// ships one log artifact per session).
   core::MlLog log;
   std::int64_t restarts = 0;             ///< filled by run_with_restarts
   std::int64_t resumed_from_epoch = -1;  ///< -1 when not resumed

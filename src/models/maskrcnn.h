@@ -98,6 +98,10 @@ class MaskRcnnWorkload : public Workload {
   std::string model_signature() const override { return "Mask R-CNN"; }
   std::string optimizer_name() const override { return "sgd_momentum"; }
   std::string augmentation_signature() const override { return "horizontal_flip"; }
+  /// Shuffle, anchor sampling and ROI jitter are pure functions of the rng.
+  checkpoint::TrainingState training_state() override {
+    return {model_.get(), optimizer_.get(), &rng_, {}};
+  }
 
   struct EvalDetail {
     double box_map = 0.0;

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "checkpoint/state.h"
 #include "metrics/metrics.h"
 #include "nn/functional.h"
 
@@ -109,25 +108,6 @@ double NcfWorkload::evaluate() {
     scores.push_back(std::move(s));
   }
   return metrics::hit_rate_at_k(scores, 10);
-}
-
-void NcfWorkload::save_state(checkpoint::CheckpointWriter& out) const {
-  if (!model_ || !optimizer_)
-    throw std::logic_error("NcfWorkload: cannot checkpoint before build_model");
-  checkpoint::write_module(out.section("model"), *model_);
-  checkpoint::write_optimizer(out.section("optimizer"), *optimizer_);
-  checkpoint::write_rng(out.section("rng"), rng_);
-}
-
-void NcfWorkload::restore_state(const checkpoint::CheckpointReader& in) {
-  if (!model_ || !optimizer_)
-    throw std::logic_error("NcfWorkload: cannot restore before build_model");
-  checkpoint::ByteReader model_in = in.section("model");
-  checkpoint::read_module(model_in, *model_);
-  checkpoint::ByteReader opt_in = in.section("optimizer");
-  checkpoint::read_optimizer(opt_in, *optimizer_);
-  checkpoint::ByteReader rng_in = in.section("rng");
-  checkpoint::read_rng(rng_in, rng_);
 }
 
 std::map<std::string, double> NcfWorkload::hyperparameters() const {

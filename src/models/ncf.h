@@ -60,12 +60,11 @@ class NcfWorkload : public Workload {
   std::string model_signature() const override { return "NCF"; }
   std::string optimizer_name() const override { return "adam"; }
 
-  /// Full-state checkpointing: model, Adam slots + step, run rng. The NCF
-  /// traversal (shuffle + negative sampling) is a pure function of the rng,
-  /// so these three sections are the complete training state.
-  bool supports_checkpoint() const override { return true; }
-  void save_state(checkpoint::CheckpointWriter& out) const override;
-  void restore_state(const checkpoint::CheckpointReader& in) override;
+  /// The NCF traversal (shuffle + negative sampling) is a pure function of
+  /// the rng, so model, Adam slots + step and rng are the complete state.
+  checkpoint::TrainingState training_state() override {
+    return {model_.get(), optimizer_.get(), &rng_, {}};
+  }
 
   /// Direct access for the resume-identity tests (final-weights hashing).
   NeuMf* model() { return model_.get(); }

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "checkpoint/state.h"
 #include "metrics/metrics.h"
 
 namespace mlperf::models {
@@ -98,8 +97,6 @@ void ResNetWorkload::build_model(std::uint64_t seed) {
       config_.base_lr, config_.batch_size, config_.base_batch, config_.warmup_steps,
       config_.lr_decay_gamma, config_.lr_decay_epochs * steps_per_epoch);
   step_ = 0;
-  epochs_trained_ = 0;
-  loader_epoch_base_ = 0;
   train_loader_.reset();
 }
 
@@ -148,7 +145,6 @@ void ResNetWorkload::train_epoch() {
     }
     ++step_;
   }
-  ++epochs_trained_;
 }
 
 double ResNetWorkload::evaluate() {
@@ -168,60 +164,13 @@ double ResNetWorkload::evaluate() {
   return metrics::top1_accuracy(preds, targets);
 }
 
-void ResNetWorkload::save_state(checkpoint::CheckpointWriter& out) const {
-  if (!model_ || !optimizer_)
-    throw std::logic_error("ResNetWorkload: cannot checkpoint before build_model");
-  checkpoint::write_module(out.section("model"), *model_);
-  checkpoint::write_optimizer(out.section("optimizer"), *optimizer_);
-  checkpoint::write_rng(out.section("rng"), rng_);
-  checkpoint::ByteWriter& progress = out.section("progress");
-  progress.put_i64(step_);
-  progress.put_i64(epochs_trained_);
-  // Loader traversal position. Checkpoints are epoch-boundary-only: between
-  // epochs the traversal is a pure function of the (saved) rng, so epoch
-  // count + an exhausted cursor is the complete loader state.
-  checkpoint::ByteWriter& loader = out.section("loader");
+checkpoint::TrainingState ResNetWorkload::training_state() {
   if (train_loader_) {
     train_loader_->drain();
     if (!train_loader_->epoch_exhausted())
-      throw std::logic_error(
-          "ResNetWorkload: checkpoint requested mid-epoch (loader not exhausted)");
-    // epochs_started() counts this session only (the loader is rebuilt after
-    // a resume); add the restored base so the recorded count is cumulative.
-    loader.put_i64(loader_epoch_base_ + train_loader_->epochs_started());
-    loader.put_i64(train_loader_->cursor());
-    loader.put_i64(train_loader_->epoch_limit());
-  } else {
-    loader.put_i64(loader_epoch_base_);
-    loader.put_i64(0);
-    loader.put_i64(0);
+      throw std::logic_error("ResNetWorkload: training state requested mid-epoch");
   }
-}
-
-void ResNetWorkload::restore_state(const checkpoint::CheckpointReader& in) {
-  if (!model_ || !optimizer_)
-    throw std::logic_error("ResNetWorkload: cannot restore before build_model");
-  checkpoint::ByteReader model_in = in.section("model");
-  checkpoint::read_module(model_in, *model_);
-  checkpoint::ByteReader opt_in = in.section("optimizer");
-  checkpoint::read_optimizer(opt_in, *optimizer_);
-  checkpoint::ByteReader rng_in = in.section("rng");
-  checkpoint::read_rng(rng_in, rng_);
-  checkpoint::ByteReader progress = in.section("progress");
-  step_ = progress.get_i64();
-  epochs_trained_ = progress.get_i64();
-  checkpoint::ByteReader loader = in.section("loader");
-  const std::int64_t epochs_started = loader.get_i64();
-  if (epochs_started != epochs_trained_)
-    throw checkpoint::CheckpointError(
-        "ResNetWorkload: loader epoch count " + std::to_string(epochs_started) +
-        " does not match trained epochs " + std::to_string(epochs_trained_));
-  // The loader itself is rebuilt lazily on the next train_epoch; constructing
-  // it from the restored rng replays the shuffle the uninterrupted run drew.
-  // The rebuilt loader counts epochs from zero, so remember the cumulative
-  // count it resumes from for the next generation's checkpoint.
-  loader_epoch_base_ = epochs_trained_;
-  train_loader_.reset();
+  return {model_.get(), optimizer_.get(), &rng_, {{"step", &step_}}};
 }
 
 std::map<std::string, double> ResNetWorkload::hyperparameters() const {

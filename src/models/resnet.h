@@ -104,18 +104,15 @@ class ResNetWorkload : public Workload {
   }
   std::string augmentation_signature() const override { return augment_.signature(); }
 
-  /// Full-state checkpointing: model parameters AND batch-norm running
-  /// statistics, the optimizer's slot buffers (SGD-momentum velocity or LARS
-  /// velocity), the LR-schedule position (global step), the run rng, and the
-  /// train-loader traversal position. save_state drains the (possibly
-  /// prefetching) loader and requires an epoch boundary.
-  bool supports_checkpoint() const override { return true; }
-  void save_state(checkpoint::CheckpointWriter& out) const override;
-  void restore_state(const checkpoint::CheckpointReader& in) override;
+  /// Model parameters and batch-norm running statistics, the optimizer's
+  /// velocity, the run rng and the LR-schedule position ("step"). The train
+  /// loader needs no state of its own: at an epoch boundary its next
+  /// traversal is a pure function of the rng (ImageLoader::epoch_exhausted).
+  /// Drains a prefetching loader; throws std::logic_error mid-epoch.
+  checkpoint::TrainingState training_state() override;
 
   /// Direct access for tests and the precision/batch-size benches.
   ResNetMini* model() { return model_.get(); }
-  std::int64_t step() const { return step_; }
 
  private:
   Config config_;
@@ -128,13 +125,6 @@ class ResNetWorkload : public Workload {
   std::unique_ptr<optim::LrSchedule> schedule_;
   tensor::Rng rng_;
   std::int64_t step_ = 0;
-  std::int64_t epochs_trained_ = 0;
-  /// Epochs the loader had started before this session began (restore_state
-  /// sets it to the cumulative epochs_trained_). The loader is rebuilt lazily
-  /// after a resume, so its epochs_started() counts this session only;
-  /// checkpoints record base + session so the audit stays cumulative across
-  /// any number of preempt/restart generations.
-  std::int64_t loader_epoch_base_ = 0;
   /// Persistent training loader, created lazily on the first train_epoch so
   /// the rng draw order (one permutation per epoch start, then the per-batch
   /// augmentation draws) is exactly the draw order of the historical

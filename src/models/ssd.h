@@ -107,6 +107,10 @@ class SsdWorkload : public Workload {
   std::string model_signature() const override { return "SSD-ResNet-34"; }
   std::string optimizer_name() const override { return "sgd_momentum"; }
   std::string augmentation_signature() const override { return "horizontal_flip"; }
+  /// The traversal (shuffle + flips) is a pure function of the rng.
+  checkpoint::TrainingState training_state() override {
+    return {model_.get(), optimizer_.get(), &rng_, {}};
+  }
 
   /// Run inference on one image; exposed for examples and tests.
   std::vector<metrics::Detection> detect(const tensor::Tensor& image, std::int64_t image_id);

@@ -2,13 +2,9 @@
 
 #include <cstdint>
 #include <map>
-#include <stdexcept>
 #include <string>
 
-namespace mlperf::checkpoint {
-class CheckpointWriter;
-class CheckpointReader;
-}  // namespace mlperf::checkpoint
+#include "checkpoint/state.h"
 
 namespace mlperf::models {
 
@@ -33,23 +29,14 @@ class Workload {
   virtual void train_epoch() = 0;
   virtual double evaluate() = 0;
 
-  /// ---- checkpoint/restore (opt-in) --------------------------------------
-  /// A checkpointable workload serializes its COMPLETE training state —
-  /// model parameters and buffers, optimizer slot buffers and step counters,
-  /// every RNG stream, and data-traversal position — such that a restored
-  /// run continues bitwise-identically to one that was never interrupted.
-  /// save_state may only be called at an epoch boundary (after train_epoch /
-  /// evaluate returned, before the next train_epoch); implementations must
-  /// drain any asynchronous work (e.g. a prefetching loader) before
-  /// snapshotting. The harness stores its own sections ("meta", "curve",
-  /// "timer", "log") alongside the workload's.
-  virtual bool supports_checkpoint() const { return false; }
-  virtual void save_state(checkpoint::CheckpointWriter& /*out*/) const {
-    throw std::logic_error(name() + ": workload does not support checkpointing");
-  }
-  virtual void restore_state(const checkpoint::CheckpointReader& /*in*/) {
-    throw std::logic_error(name() + ": workload does not support checkpointing");
-  }
+  /// The complete training state as pointers into this workload's storage,
+  /// for checkpoint::write_state/read_state (the only code that serializes
+  /// it). A restored run continues bitwise-identically to one that was never
+  /// interrupted. Only valid at an epoch boundary (after train_epoch /
+  /// evaluate returned, before the next train_epoch): implementations drain
+  /// any asynchronous work first and throw std::logic_error mid-epoch. The
+  /// default, an empty view, marks a workload that cannot be checkpointed.
+  virtual checkpoint::TrainingState training_state() { return {}; }
 
   /// Hyperparameters to log (names should match the Closed-division
   /// whitelist vocabulary where applicable).

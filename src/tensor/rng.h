@@ -57,8 +57,8 @@ class Rng {
     bool has_cached_normal = false;
     double cached_normal = 0.0;
   };
-  State save_state() const { return {state_, has_cached_normal_, cached_normal_}; }
-  void restore_state(const State& s) {
+  State state() const { return {state_, has_cached_normal_, cached_normal_}; }
+  void set_state(const State& s) {
     state_ = s.state;
     has_cached_normal_ = s.has_cached_normal;
     cached_normal_ = s.cached_normal;

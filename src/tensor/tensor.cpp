@@ -305,12 +305,6 @@ Tensor::BroadcastPlan Tensor::broadcast_plan(const Tensor& a, const Tensor& b) {
   return plan;
 }
 
-Tensor Tensor::binary(const Tensor& o, const std::function<float(float, float)>& f) const {
-  // Delegate to the template overload: same iteration order, same arithmetic,
-  // only the per-element dispatch differs — bitwise identical results.
-  return binary(o, [&f](float a, float b) { return f(a, b); });
-}
-
 Tensor Tensor::reduce_to(const Shape& target) const {
   if (shape_ == target) return *this;
   // Verify target broadcasts to our shape, then sum the broadcast dims.
@@ -383,11 +377,6 @@ Tensor Tensor::add_scalar(float s) const {
 }
 Tensor Tensor::mul_scalar(float s) const {
   return map([s](float x) { return x * s; });
-}
-
-Tensor Tensor::map(const std::function<float(float)>& f) const {
-  // Delegate to the template overload (see binary above).
-  return map([&f](float x) { return f(x); });
 }
 
 Tensor Tensor::neg() const {

@@ -104,12 +104,8 @@ class Tensor {
   Tensor div(const Tensor& o) const { return binary(o, std::divides<float>{}); }
   Tensor add_scalar(float s) const;
   Tensor mul_scalar(float s) const;
-  /// General broadcast binary op (NumPy right-aligned broadcast rules).
-  Tensor binary(const Tensor& o, const std::function<float(float, float)>& f) const;
-  /// Statically-typed overload: the functor inlines into the element loop
-  /// instead of going through a per-element std::function dispatch. Iteration
-  /// order and arithmetic are identical to the std::function overload (which
-  /// now delegates here), so the bits are too — this is pure dispatch cost.
+  /// General broadcast binary op (NumPy right-aligned broadcast rules). The
+  /// functor is a template parameter so it inlines into the element loop.
   template <typename F>
   Tensor binary(const Tensor& o, F f) const {
     if (shape_ == o.shape_) {  // same-shape fast path
@@ -160,8 +156,7 @@ class Tensor {
   Tensor reduce_to(const Shape& target) const;
 
   // ----- unary maps ---------------------------------------------------------
-  Tensor map(const std::function<float(float)>& f) const;
-  /// Statically-typed overload of map (see the binary overload).
+  /// Elementwise unary op; the functor inlines like binary()'s.
   template <typename F>
   Tensor map(F f) const {
     Tensor out = uninitialized(shape_);

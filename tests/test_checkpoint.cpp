@@ -143,6 +143,20 @@ TEST(Format, ByteReaderRejectsOverread) {
   EXPECT_THROW(rs.get_u64(), CheckpointError);
 }
 
+TEST(Format, StringsAreBoundedByThePayloadNotAFixedCap) {
+  // Session logs travel as strings and can exceed 64 KiB on long runs.
+  const std::string big(200000, 'x');
+  CheckpointWriter w;
+  w.section("s").put_string(big);
+  CheckpointReader r = CheckpointReader::parse(w.serialize(), "mem");
+  EXPECT_EQ(r.section("s").get_string(), big);
+  // A length past the end of the payload must throw, not allocate.
+  CheckpointWriter bad;
+  bad.section("s").put_u64(std::uint64_t{1} << 40);
+  CheckpointReader rb = CheckpointReader::parse(bad.serialize(), "mem");
+  EXPECT_THROW(rb.section("s").get_string(), CheckpointError);
+}
+
 TEST(Format, Crc32cKnownAnswer) {
   // RFC 3720 test vector: CRC32C of 32 zero bytes.
   const std::uint8_t zeros[32] = {};
@@ -680,6 +694,189 @@ TEST(Harness, CheckpointEventsCarryAuditMetadata) {
   ByteReader log_in = r.section("log");
   const core::MlLog prior = core::MlLog::parse(log_in.get_string());
   EXPECT_NE(prior.find(core::keys::kRunStart), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Generic training-state view (write_state / read_state)
+// ---------------------------------------------------------------------------
+
+/// A TinyNet + SGD + rng + counter bundle exposed as a TrainingState.
+struct TinyState {
+  explicit TinyState(std::uint64_t seed)
+      : init(seed), net(init), opt(net.parameters()), rng(seed + 100) {}
+  TrainingState view(const std::string& counter_name) {
+    return {&net, &opt, &rng, {{counter_name, &step}}};
+  }
+  tensor::Rng init;
+  TinyNet net;
+  optim::SgdMomentum opt;
+  tensor::Rng rng;
+  std::int64_t step = 0;
+};
+
+TEST(State, WriteStateReadStateRoundTrip) {
+  TinyState a(1), b(2);
+  a.step = 42;
+  (void)a.rng.normal();
+  CheckpointWriter w;
+  write_state(w, a.view("step"));
+  CheckpointReader r = CheckpointReader::parse(w.serialize(), "mem");
+  read_state(r, b.view("step"));
+  EXPECT_EQ(hash_module(b.net), hash_module(a.net));
+  EXPECT_EQ(b.step, 42);
+  EXPECT_EQ(b.rng.normal(), a.rng.normal());
+  EXPECT_EQ(b.rng.next_u64(), a.rng.next_u64());
+}
+
+TEST(State, ReadStateRejectsCounterNameMismatch) {
+  TinyState a(1), b(2);
+  CheckpointWriter w;
+  write_state(w, a.view("step"));
+  CheckpointReader r = CheckpointReader::parse(w.serialize(), "mem");
+  try {
+    read_state(r, b.view("epoch"));
+    FAIL() << "a progress counter under another name was silently loaded";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("epoch"), std::string::npos) << e.what();
+  }
+}
+
+TEST(State, ReadStateRejectsMissingRngSection) {
+  TinyState a(1), b(2);
+  CheckpointWriter w;
+  write_module(w.section("model"), a.net);
+  write_optimizer(w.section("optimizer"), a.opt);
+  w.section("progress").put_u64(0);
+  CheckpointReader r = CheckpointReader::parse(w.serialize(), "mem");
+  const std::uint64_t before = hash_module(b.net);
+  try {
+    read_state(r, {&b.net, &b.opt, &b.rng, {}});
+    FAIL() << "a checkpoint without an rng section was silently loaded";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("rng"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(hash_module(b.net), before) << "a rejected checkpoint modified the model";
+}
+
+TEST(State, EmptyViewIsRejected) {
+  CheckpointWriter w;
+  EXPECT_THROW(write_state(w, TrainingState{}), std::logic_error);
+  CheckpointReader r = CheckpointReader::parse(w.serialize(), "mem");
+  EXPECT_THROW(read_state(r, TrainingState{}), std::logic_error);
+}
+
+// Every workload with a non-empty training_state() resumes bitwise: kill
+// after epoch 1 of 3 (unreachable target, so all three epochs train) and
+// compare against the uninterrupted run.
+class WorkloadResume : public ::testing::TestWithParam<BenchmarkId> {};
+
+TEST_P(WorkloadResume, KillAfterEpochOneResumesIdentically) {
+  const BenchmarkId id = GetParam();
+  const core::SuiteVersion suite = core::suite_v05();
+  const core::BenchmarkSpec& spec = core::find_spec(suite, id);
+  core::QualityMetric target = harness::scaled_target(spec, WorkloadScale::kSmoke);
+  ASSERT_TRUE(target.higher_is_better);
+  target.target = 1.1;  // unreachable: train all max_epochs
+  core::SteadyClock clock;
+  RunOptions opts;
+  opts.seed = 13;
+  opts.max_epochs = 3;
+
+  auto baseline_w = harness::make_reference_workload(id, WorkloadScale::kSmoke);
+  const RunOutcome baseline = harness::run_to_target(*baseline_w, target, opts, clock);
+  ASSERT_EQ(baseline.epochs, 3);
+
+  RunOptions faulted = opts;
+  faulted.checkpoint_every_n_epochs = 1;
+  faulted.checkpoint_path = tmp_path("workload_resume_" + spec.name + ".ckpt");
+  faulted.fault.kill_after_epoch = 1;
+  std::unique_ptr<models::Workload> current;
+  const RunOutcome resumed = harness::run_with_restarts(
+      [&] {
+        current = harness::make_reference_workload(id, WorkloadScale::kSmoke);
+        return current.get();
+      },
+      target, faulted, clock);
+
+  EXPECT_EQ(resumed.restarts, 1);
+  EXPECT_EQ(resumed.resumed_from_epoch, 1);
+  EXPECT_EQ(resumed.epochs, 3);
+  EXPECT_EQ(harness::outcome_fingerprint(resumed), harness::outcome_fingerprint(baseline));
+  EXPECT_EQ(hash_module(*current->training_state().model),
+            hash_module(*baseline_w->training_state().model))
+      << "resumed final weights differ bitwise from the uninterrupted run";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Checkpointable, WorkloadResume,
+    ::testing::Values(BenchmarkId::kRecommendation, BenchmarkId::kImageClassification,
+                      BenchmarkId::kObjectDetectionLight, BenchmarkId::kObjectDetectionHeavy),
+    [](const ::testing::TestParamInfo<BenchmarkId>& info) {
+      return core::find_spec(core::suite_v05(), info.param).name;
+    });
+
+// GNMT and Transformer keep persistent per-bucket shuffles outside the view,
+// so like MiniGo they must refuse checkpointing rather than resume wrongly.
+class UncheckpointableWorkload : public ::testing::TestWithParam<BenchmarkId> {};
+
+TEST_P(UncheckpointableWorkload, CheckpointOptionsRejected) {
+  auto w = harness::make_reference_workload(GetParam(), WorkloadScale::kSmoke);
+  EXPECT_EQ(w->training_state().model, nullptr);
+  RunOptions opts;
+  opts.max_epochs = 1;
+  opts.checkpoint_every_n_epochs = 1;
+  opts.checkpoint_path = tmp_path("unsupported_" + w->name() + ".ckpt");
+  core::SteadyClock clock;
+  core::QualityMetric target{"q", 0.99, true};
+  EXPECT_THROW(harness::run_to_target(*w, target, opts, clock), std::logic_error);
+  RunOptions resume;
+  resume.max_epochs = 1;
+  resume.resume_from = opts.checkpoint_path;
+  EXPECT_THROW(harness::run_to_target(*w, target, resume, clock), std::logic_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Translation, UncheckpointableWorkload,
+    ::testing::Values(BenchmarkId::kTranslationRecurrent,
+                      BenchmarkId::kTranslationNonRecurrent),
+    [](const ::testing::TestParamInfo<BenchmarkId>& info) {
+      return core::find_spec(core::suite_v05(), info.param).name;
+    });
+
+// run.h promises every preempted session's log survives inside the
+// checkpoint. A second preemption overwrites the file, so session 1's log
+// must be carried forward, not dropped.
+TEST(Resume, SecondPreemptionKeepsFirstSessionLog) {
+  const core::SuiteVersion suite = core::suite_v05();
+  const core::BenchmarkSpec& spec = core::find_spec(suite, BenchmarkId::kRecommendation);
+  core::QualityMetric target = harness::scaled_target(spec, WorkloadScale::kSmoke);
+  target.target = 1.1;  // unreachable: only the faults end the sessions
+  core::SteadyClock clock;
+  RunOptions opts;
+  opts.seed = 3;
+  opts.max_epochs = 4;
+  opts.checkpoint_every_n_epochs = 1;
+  opts.checkpoint_path = tmp_path("prior_logs.ckpt");
+  opts.fault.kill_after_epoch = 1;
+  auto w1 = harness::make_reference_workload(BenchmarkId::kRecommendation,
+                                             WorkloadScale::kSmoke);
+  EXPECT_THROW(harness::run_to_target(*w1, target, opts, clock), harness::Preempted);
+  const std::string session1_log =
+      CheckpointReader::read_file(opts.checkpoint_path).section("log").get_string();
+
+  opts.resume_from = opts.checkpoint_path;
+  opts.fault.kill_after_epoch = 2;
+  auto w2 = harness::make_reference_workload(BenchmarkId::kRecommendation,
+                                             WorkloadScale::kSmoke);
+  EXPECT_THROW(harness::run_to_target(*w2, target, opts, clock), harness::Preempted);
+
+  const CheckpointReader r = CheckpointReader::read_file(opts.checkpoint_path);
+  ByteReader prior = r.section("prior_logs");
+  ASSERT_EQ(prior.get_u64(), 1u);
+  EXPECT_EQ(prior.get_string(), session1_log);
+  EXPECT_TRUE(prior.done());
+  const core::MlLog session2 = core::MlLog::parse(r.section("log").get_string());
+  EXPECT_NE(session2.find(core::keys::kCheckpointRestored), nullptr);
 }
 
 }  // namespace

@@ -95,6 +95,19 @@ TEST(Harness, EvalIntervalSkipsEvaluations) {
   EXPECT_EQ(out.curve.size(), 3u);
 }
 
+TEST(Harness, RejectsEvalIntervalBelowOne) {
+  // eval_interval is a divisor of the epoch count: 0 used to divide by zero.
+  core::QualityMetric target{"q", 0.9, true};
+  core::ManualClock clock;
+  for (std::int64_t interval : {0, -1}) {
+    ScriptedWorkload w({0.1, 0.95});
+    RunOptions opts;
+    opts.eval_interval = interval;
+    EXPECT_THROW(run_to_target(w, target, opts, clock), std::invalid_argument)
+        << "eval_interval " << interval;
+  }
+}
+
 TEST(Harness, DispatchedKernelIsaIsLogged) {
   ScriptedWorkload w({1.0});
   core::QualityMetric target{"q", 0.5, true};

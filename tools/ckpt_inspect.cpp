@@ -16,6 +16,7 @@
 #include <string>
 
 #include "checkpoint/format.h"
+#include "checkpoint/state.h"
 #include "core/benchmark_spec.h"
 #include "harness/reference.h"
 
@@ -73,7 +74,7 @@ int restore_and_eval(const std::string& path, harness::WorkloadScale scale) {
   auto workload = harness::make_reference_workload(*id, scale);
   workload->prepare_data();
   workload->build_model(seed);
-  workload->restore_state(ckpt);
+  checkpoint::read_state(ckpt, workload->training_state());
   const double quality = workload->evaluate();
   std::printf("  restored model evaluates to %.4f %s\n", quality,
               quality == saved_quality ? "(matches saved quality exactly)"
