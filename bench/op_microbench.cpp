@@ -7,9 +7,9 @@
 // Run with --benchmark_format=json to get machine-readable output; the
 // custom main below stamps the kernel configuration into the JSON context.
 // BENCH_kernels.json at the repo root is the checked-in before/after
-// snapshot of the packed-GEMM change at the ResNet and Transformer shapes
-// (the *Ref benchmarks here regenerate the "before" side from the retained
-// scalar kernel).
+// snapshot of the most recent kernel change (the *Ref benchmarks here
+// regenerate the scalar "before" side of the packed-GEMM rows from the
+// retained reference kernel).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -337,6 +337,60 @@ static void BM_BatchNormForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchNormForward);
+
+// One BatchNorm2d training step, forward plus backward, at the two ResNet-mini
+// activation shapes: [32, 8, 16, 16] (stem and stage 1) and [32, 32, 8, 8]
+// (stage 2). Args are {n, c, h, w}.
+static void BM_BatchNormTrainStep(benchmark::State& state) {
+  const tensor::Shape shape = {state.range(0), state.range(1), state.range(2), state.range(3)};
+  Rng rng(6);
+  nn::BatchNorm2d bn(shape[1]);
+  const Tensor x = Tensor::randn(shape, rng);
+  const Tensor g = Tensor::randn(shape, rng);
+  for (auto _ : state) {
+    autograd::Variable vx(x, true);
+    autograd::Variable y = bn.forward(vx);
+    y.backward(g);
+    benchmark::DoNotOptimize(vx.grad().data());
+  }
+}
+BENCHMARK(BM_BatchNormTrainStep)
+    ->ArgNames({"n", "c", "h", "w"})
+    ->Args({32, 8, 16, 16})
+    ->Args({32, 32, 8, 8});
+
+// relu forward and its masked backward on a [32, 8, 16, 16] activation of
+// random sign (the BatchNorm output it follows in ResNet-mini).
+static void BM_ReluTrainStep(benchmark::State& state) {
+  Rng rng(7);
+  const Tensor x = Tensor::randn({32, 8, 16, 16}, rng);
+  const Tensor g = Tensor::randn(x.shape(), rng);
+  for (auto _ : state) {
+    autograd::Variable vx(x, true);
+    autograd::Variable y = autograd::relu(vx);
+    y.backward(g);
+    benchmark::DoNotOptimize(vx.grad().data());
+  }
+}
+BENCHMARK(BM_ReluTrainStep);
+
+// An op's freshly computed gradient (here a copy of a fixed tensor) handed to
+// a node that has no gradient yet: the first-touch path every interior node
+// of the backward sweep takes. 65536 floats, one ResNet-mini activation.
+static void BM_AccumulateGrad(benchmark::State& state) {
+  Rng rng(8);
+  const Tensor g = Tensor::randn({32, 8, 16, 16}, rng);
+  autograd::detail::Node node;
+  node.value = Tensor(g.shape());
+  for (auto _ : state) {
+    node.grad = Tensor();
+    node.grad_initialized = false;
+    node.accumulate_grad(Tensor(g));
+    benchmark::DoNotOptimize(node.grad.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AccumulateGrad);
 
 static void BM_Attention(benchmark::State& state) {
   Rng rng(6);

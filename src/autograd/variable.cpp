@@ -18,16 +18,7 @@ namespace detail {
 
 void Node::accumulate_grad(const Tensor& g) {
   if (!grad_initialized && g.shape() == value.shape()) {
-    // First touch: write g straight into a pooled buffer instead of
-    // zero-filling and adding. `0.0f + src` is the exact float-add the old
-    // zero+accumulate path performed (it normalizes -0.0 to +0.0, a raw
-    // copy would not), so the bits are unchanged.
-    grad = Tensor::uninitialized(value.shape());
-    float* dst = grad.data();
-    const float* src = g.data();
-    const std::int64_t n = grad.numel();
-    for (std::int64_t i = 0; i < n; ++i) dst[i] = 0.0f + src[i];
-    grad_initialized = true;
+    accumulate_grad(Tensor(g));  // first touch: see the Tensor&& overload
     return;
   }
   if (!grad_initialized) {
@@ -48,6 +39,22 @@ void Node::accumulate_grad(const Tensor& g) {
     const std::int64_t n = grad.numel();
     for (std::int64_t i = 0; i < n; ++i) dst[i] += src[i];
   }
+}
+
+void Node::accumulate_grad(Tensor&& g) {
+  if (grad_initialized || g.shape() != value.shape()) {
+    accumulate_grad(static_cast<const Tensor&>(g));
+    return;
+  }
+  // First touch: adopt g's buffer instead of zero-filling and adding.
+  // `0.0f + x` in place is the exact float add the zero+accumulate path
+  // performed (it normalizes -0.0 to +0.0, a raw move would not), so the
+  // bits are unchanged.
+  grad = std::move(g);
+  float* p = grad.data();
+  const std::int64_t n = grad.numel();
+  for (std::int64_t i = 0; i < n; ++i) p[i] = 0.0f + p[i];
+  grad_initialized = true;
 }
 
 }  // namespace detail
@@ -285,8 +292,8 @@ Variable bmm(const Variable& a, const Variable& b, tensor::Trans ta, tensor::Tra
 Variable relu(const Variable& a) {
   auto an = a.node();
   return Variable::from_op(a.value().relu(), {a}, [an](const Tensor& g) {
-    Tensor masked = g.binary(an->value, [](float gv, float x) { return x > 0.0f ? gv : 0.0f; });
-    an->accumulate_grad(masked);
+    an->accumulate_grad(
+        g.binary(an->value, [](float gv, float x) { return x > 0.0f ? gv : 0.0f; }));
   });
 }
 
@@ -307,7 +314,7 @@ Variable add_relu(const Variable& a, const Variable& b) {
     // parents exactly as the unfused add node would pass it through.
     Tensor masked = g.binary(y, [](float gv, float yv) { return yv > 0.0f ? gv : 0.0f; });
     if (an->requires_grad) an->accumulate_grad(masked);
-    if (bn->requires_grad) bn->accumulate_grad(masked);
+    if (bn->requires_grad) bn->accumulate_grad(std::move(masked));
   });
 }
 
@@ -375,7 +382,7 @@ Variable slice0(const Variable& a, std::int64_t begin, std::int64_t end) {
     Tensor full(an->value.shape());
     const std::int64_t row = full.numel() / std::max<std::int64_t>(full.shape()[0], 1);
     std::copy(g.vec().begin(), g.vec().end(), full.vec().begin() + begin * row);
-    an->accumulate_grad(full);
+    an->accumulate_grad(std::move(full));
   });
 }
 
@@ -454,7 +461,7 @@ Variable softmax_last(const Variable& a) {
               dr[j] = yr[j] * (gr[j] - static_cast<float>(dot));
           }
         });
-    an->accumulate_grad(dx);
+    an->accumulate_grad(std::move(dx));
   });
 }
 
@@ -479,7 +486,7 @@ Variable log_softmax_last(const Variable& a) {
               dr[j] = gr[j] - std::exp(yr[j]) * static_cast<float>(gsum);
           }
         });
-    an->accumulate_grad(dx);
+    an->accumulate_grad(std::move(dx));
   });
 }
 
@@ -505,7 +512,7 @@ Variable embedding(const Variable& table, const std::vector<std::int64_t>& indic
       float* dst = dt.data() + row * dim;
       for (std::int64_t d = 0; d < dim; ++d) dst[d] += src[d];
     }
-    tn->accumulate_grad(dt);
+    tn->accumulate_grad(std::move(dt));
   });
 }
 

@@ -24,6 +24,11 @@ struct Node {
   BackwardFn backward_fn;       // empty for leaves
 
   void accumulate_grad(const tensor::Tensor& g);
+  /// Same sums as the const& overload. On first touch with g already of the
+  /// value's shape, g's buffer becomes the gradient instead of being copied
+  /// into a second one; backward closures hand over their op-owned
+  /// temporaries through this overload.
+  void accumulate_grad(tensor::Tensor&& g);
 };
 }  // namespace detail
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 namespace mlperf::nn {
 
@@ -55,6 +56,28 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float eps_, float momentum_)
   register_buffer("running_var", running_var);
 }
 
+namespace {
+
+// BatchNorm's per-channel sums fold in double precision over samples b, then
+// positions i, in ascending order. One channel's fold is a single dependent
+// add chain, so it runs at the latency of one add per element.
+// for_channel_blocks hands the body kChannelBlock channels at a time (then
+// the remainder one by one) as a compile-time count K. The body keeps K
+// accumulators and advances them together, each over its own channel's terms
+// in that same b-then-i order. Every channel's sum is therefore bitwise the
+// one-channel loop's, while the K chains are independent and overlap.
+constexpr std::int64_t kChannelBlock = 8;
+
+template <typename Body>
+void for_channel_blocks(std::int64_t c, Body body) {
+  std::int64_t ch0 = 0;
+  for (; ch0 + kChannelBlock <= c; ch0 += kChannelBlock)
+    body(std::integral_constant<std::int64_t, kChannelBlock>{}, ch0);
+  for (; ch0 < c; ++ch0) body(std::integral_constant<std::int64_t, 1>{}, ch0);
+}
+
+}  // namespace
+
 Variable BatchNorm2d::forward(const Variable& x) {
   const Tensor& xv = x.value();
   if (xv.ndim() != 4) throw std::invalid_argument("BatchNorm2d: input must be NCHW");
@@ -63,23 +86,29 @@ Variable BatchNorm2d::forward(const Variable& x) {
 
   Tensor mean({c}), var({c});
   if (training()) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      double s = 0.0;
+    for_channel_blocks(c, [&](auto block, std::int64_t ch0) {
+      constexpr std::int64_t K = decltype(block)::value;
+      double s[K] = {};
       for (std::int64_t b = 0; b < n; ++b) {
-        const float* p = xv.data() + (b * c + ch) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) s += p[i];
+        const float* p = xv.data() + (b * c + ch0) * hw;
+        for (std::int64_t i = 0; i < hw; ++i)
+          for (std::int64_t k = 0; k < K; ++k) s[k] += p[k * hw + i];
       }
-      mean[ch] = static_cast<float>(s / static_cast<double>(m));
-      double v = 0.0;
+      float mu[K];
+      for (std::int64_t k = 0; k < K; ++k)
+        mu[k] = mean[ch0 + k] = static_cast<float>(s[k] / static_cast<double>(m));
+      double v[K] = {};
       for (std::int64_t b = 0; b < n; ++b) {
-        const float* p = xv.data() + (b * c + ch) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) {
-          const double d = p[i] - mean[ch];
-          v += d * d;
-        }
+        const float* p = xv.data() + (b * c + ch0) * hw;
+        for (std::int64_t i = 0; i < hw; ++i)
+          for (std::int64_t k = 0; k < K; ++k) {
+            const double d = p[k * hw + i] - mu[k];
+            v[k] += d * d;
+          }
       }
-      var[ch] = static_cast<float>(v / static_cast<double>(m));
-    }
+      for (std::int64_t k = 0; k < K; ++k)
+        var[ch0 + k] = static_cast<float>(v[k] / static_cast<double>(m));
+    });
     for (std::int64_t ch = 0; ch < c; ++ch) {
       running_mean[ch] = momentum * running_mean[ch] + (1.0f - momentum) * mean[ch];
       running_var[ch] = momentum * running_var[ch] + (1.0f - momentum) * var[ch];
@@ -93,19 +122,22 @@ Variable BatchNorm2d::forward(const Variable& x) {
   for (std::int64_t ch = 0; ch < c; ++ch)
     inv_std[ch] = 1.0f / std::sqrt(var[ch] + eps);
 
-  // xhat cached for backward.
-  auto xhat = std::make_shared<Tensor>(xv.shape());
-  Tensor out(xv.shape());
+  // xhat is kept for backward; under a NoGradGuard no backward will read it.
+  auto xhat = autograd::NoGradGuard::active()
+                  ? nullptr
+                  : std::make_shared<Tensor>(Tensor::uninitialized(xv.shape()));
+  Tensor out = Tensor::uninitialized(xv.shape());  // every element written below
   for (std::int64_t b = 0; b < n; ++b)
     for (std::int64_t ch = 0; ch < c; ++ch) {
       const float mu = mean[ch], is = inv_std[ch];
       const float ga = gamma.value()[ch], be = beta.value()[ch];
       const float* src = xv.data() + (b * c + ch) * hw;
-      float* xh = xhat->data() + (b * c + ch) * hw;
       float* dst = out.data() + (b * c + ch) * hw;
+      float* xh = xhat ? xhat->data() + (b * c + ch) * hw : nullptr;
       for (std::int64_t i = 0; i < hw; ++i) {
-        xh[i] = (src[i] - mu) * is;
-        dst[i] = ga * xh[i] + be;
+        const float xhi = (src[i] - mu) * is;
+        if (xh) xh[i] = xhi;
+        dst[i] = ga * xhi + be;
       }
     }
 
@@ -118,21 +150,25 @@ Variable BatchNorm2d::forward(const Variable& x) {
       [xn, gn, bn, xhat, inv_std, n, c, hw, m, train_mode](const Tensor& g) {
         Tensor dgamma({c}), dbeta({c});
         for (std::int64_t b = 0; b < n; ++b)
-          for (std::int64_t ch = 0; ch < c; ++ch) {
-            const float* gp = g.data() + (b * c + ch) * hw;
-            const float* xh = xhat->data() + (b * c + ch) * hw;
-            double dg = 0.0, db = 0.0;
-            for (std::int64_t i = 0; i < hw; ++i) {
-              dg += static_cast<double>(gp[i]) * xh[i];
-              db += gp[i];
+          for_channel_blocks(c, [&](auto block, std::int64_t ch0) {
+            constexpr std::int64_t K = decltype(block)::value;
+            const float* gp = g.data() + (b * c + ch0) * hw;
+            const float* xh = xhat->data() + (b * c + ch0) * hw;
+            double dg[K] = {}, db[K] = {};
+            for (std::int64_t i = 0; i < hw; ++i)
+              for (std::int64_t k = 0; k < K; ++k) {
+                dg[k] += static_cast<double>(gp[k * hw + i]) * xh[k * hw + i];
+                db[k] += gp[k * hw + i];
+              }
+            for (std::int64_t k = 0; k < K; ++k) {
+              dgamma[ch0 + k] += static_cast<float>(dg[k]);
+              dbeta[ch0 + k] += static_cast<float>(db[k]);
             }
-            dgamma[ch] += static_cast<float>(dg);
-            dbeta[ch] += static_cast<float>(db);
-          }
+          });
         if (gn->requires_grad) gn->accumulate_grad(dgamma);
         if (bn->requires_grad) bn->accumulate_grad(dbeta);
         if (!xn->requires_grad) return;
-        Tensor dx(xn->value.shape());
+        Tensor dx = Tensor::uninitialized(xn->value.shape());  // every element written below
         const float inv_m = 1.0f / static_cast<float>(m);
         for (std::int64_t ch = 0; ch < c; ++ch) {
           const float ga = gn->value[ch], is = inv_std[ch];
@@ -152,7 +188,7 @@ Variable BatchNorm2d::forward(const Variable& x) {
             }
           }
         }
-        xn->accumulate_grad(dx);
+        xn->accumulate_grad(std::move(dx));
       });
 }
 

@@ -138,13 +138,15 @@ std::vector<std::int64_t> Tensor::strides() const {
 
 std::int64_t Tensor::offset(std::initializer_list<std::int64_t> idx) const {
   if (static_cast<std::int64_t>(idx.size()) != ndim()) fail("offset(): rank mismatch");
-  const auto st = strides();
-  std::int64_t off = 0;
-  std::size_t d = 0;
-  for (auto i : idx) {
+  // Innermost dimension first, carrying the stride along: no strides()
+  // vector, so element access allocates nothing.
+  std::int64_t off = 0, stride = 1;
+  const std::int64_t* ip = idx.end();
+  for (std::size_t d = shape_.size(); d-- > 0;) {
+    const std::int64_t i = *--ip;
     if (i < 0 || i >= shape_[d]) fail("offset(): index out of range");
-    off += i * st[d];
-    ++d;
+    off += i * stride;
+    stride *= shape_[d];
   }
   return off;
 }

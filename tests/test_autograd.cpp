@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "checkpoint/state.h"
 #include "nn/functional.h"
@@ -416,6 +417,101 @@ TEST(NoGradGuard, NestsAndIsThreadLocal) {
   EXPECT_FALSE(NoGradGuard::active());
   Variable a(Tensor({2}, 1.0f), true);
   EXPECT_TRUE(add(a, a).requires_grad()) << "recording resumes after the guard";
+}
+
+// ---- gradient hand-off: accumulate_grad(Tensor&&) ----------------------------
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+TEST(AccumulateGrad, MoveInFirstTouchNormalizesNegativeZero) {
+  detail::Node node;
+  node.value = Tensor({4});
+  node.accumulate_grad(Tensor({4}, {-0.0f, 1.5f, -0.0f, -2.0f}));
+  ASSERT_TRUE(node.grad_initialized);
+  EXPECT_EQ(float_bits(node.grad[0]), float_bits(0.0f)) << "-0.0 stored as +0.0";
+  EXPECT_EQ(float_bits(node.grad[2]), float_bits(0.0f));
+  EXPECT_EQ(node.grad[1], 1.5f);
+  EXPECT_EQ(node.grad[3], -2.0f);
+}
+
+TEST(AccumulateGrad, MoveInFirstTouchAdoptsTheBuffer) {
+  detail::Node node;
+  node.value = Tensor({3, 5});
+  Tensor g = Tensor::full({3, 5}, 2.0f);
+  const float* buffer = g.data();
+  node.accumulate_grad(std::move(g));
+  EXPECT_EQ(node.grad.data(), buffer) << "first touch must not copy";
+}
+
+// Both overloads on the same sequence of gradients: same-shape first touch,
+// a second touch, and a broadcast gradient reduced to the value's shape,
+// both as a first touch and on top of an existing gradient.
+TEST(AccumulateGrad, MoveInMatchesConstRefOverload) {
+  Rng rng(150);
+  const Tensor g1 = Tensor::randn({3, 4}, rng);
+  const Tensor g2 = Tensor::randn({3, 4}, rng);
+  const Tensor wide = Tensor::randn({5, 3, 4}, rng);
+  auto run = [&](bool move_in, bool reduce_first) {
+    detail::Node node;
+    node.value = Tensor({3, 4});
+    auto feed = [&](const Tensor& g) {
+      if (move_in)
+        node.accumulate_grad(Tensor(g));
+      else
+        node.accumulate_grad(g);
+    };
+    if (reduce_first) feed(wide);
+    feed(g1);
+    feed(g2);
+    feed(wide);
+    return node.grad;
+  };
+  for (bool reduce_first : {false, true}) {
+    SCOPED_TRACE(reduce_first ? "reduce first" : "same shape first");
+    expect_same_bits(run(false, reduce_first), run(true, reduce_first));
+  }
+}
+
+// ---- relu / add_relu special values ------------------------------------------
+
+// Forward: NaN -> +0, -0 -> +0, +0 -> +0, negatives -> +0, positives pass.
+// Backward: the mask passes g only where the activation input (relu) or the
+// output (add_relu) is > 0, so NaN and both zeros block it; the blocked
+// entries are +0.
+TEST(Relu, NanAndSignedZerosForwardAndMask) {
+  // The six cases repeated, so the vectorized body and the scalar tail of
+  // each loop both see every one.
+  const float nan = std::nanf("");
+  const std::vector<float> x6 = {nan, -0.0f, 0.0f, -1.0f, 2.0f, 1e-30f};
+  const std::vector<float> y6 = {0.0f, 0.0f, 0.0f, 0.0f, 2.0f, 1e-30f};
+  const std::vector<float> g6 = {-1.0f, -2.0f, -3.0f, -4.0f, -5.0f, -6.0f};
+  const std::vector<float> dx6 = {0.0f, 0.0f, 0.0f, 0.0f, -5.0f, -6.0f};
+  constexpr std::int64_t kRepeats = 11;
+  auto tile = [&](const std::vector<float>& v) {
+    std::vector<float> out;
+    for (std::int64_t r = 0; r < kRepeats; ++r) out.insert(out.end(), v.begin(), v.end());
+    return Tensor({6 * kRepeats}, out);
+  };
+  const Tensor xin = tile(x6), g = tile(g6), want_y = tile(y6), want_dx = tile(dx6);
+
+  Variable x(xin, true);
+  Variable y = relu(x);
+  y.backward(g);
+  expect_same_bits(want_y, y.value());
+  expect_same_bits(want_dx, x.grad());
+
+  // add_relu with a zero second operand: the sum is x + 0, which turns -0
+  // into +0 and keeps NaN, so the output and mask are relu's.
+  Variable a(xin, true), b(Tensor(xin.shape()), true);
+  Variable z = add_relu(a, b);
+  z.backward(g);
+  expect_same_bits(want_y, z.value());
+  expect_same_bits(want_dx, a.grad());
+  expect_same_bits(want_dx, b.grad());
 }
 
 }  // namespace

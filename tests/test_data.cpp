@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <string>
 
 namespace mlperf::data {
 namespace {
@@ -102,6 +104,69 @@ TEST(Augment, JitterStaysInRange) {
   for (std::int64_t i = 0; i < out.numel(); ++i) {
     EXPECT_GE(out[i], 0.0f);
     EXPECT_LE(out[i], 1.0f);
+  }
+}
+
+// The per-pixel, at()-indexed crop and flip loops that the row copies
+// replaced, drawing from the rng exactly as the layers do.
+Tensor random_crop_at_ref(const Tensor& img, std::int64_t pad, Rng& rng) {
+  const std::int64_t c = img.shape()[0], h = img.shape()[1], w = img.shape()[2];
+  const auto oi = static_cast<std::int64_t>(rng.randint(static_cast<std::uint64_t>(2 * pad + 1)));
+  const auto oj = static_cast<std::int64_t>(rng.randint(static_cast<std::uint64_t>(2 * pad + 1)));
+  Tensor out({c, h, w});
+  for (std::int64_t ch = 0; ch < c; ++ch)
+    for (std::int64_t i = 0; i < h; ++i)
+      for (std::int64_t j = 0; j < w; ++j) {
+        const std::int64_t si = i + oi - pad, sj = j + oj - pad;
+        out.at({ch, i, j}) =
+            (si >= 0 && si < h && sj >= 0 && sj < w) ? img.at({ch, si, sj}) : 0.0f;
+      }
+  return out;
+}
+
+Tensor random_flip_at_ref(const Tensor& img, float p, Rng& rng) {
+  if (rng.uniform() >= p) return img;
+  const std::int64_t c = img.shape()[0], h = img.shape()[1], w = img.shape()[2];
+  Tensor out({c, h, w});
+  for (std::int64_t ch = 0; ch < c; ++ch)
+    for (std::int64_t i = 0; i < h; ++i)
+      for (std::int64_t j = 0; j < w; ++j) out.at({ch, i, j}) = img.at({ch, i, w - 1 - j});
+  return out;
+}
+
+void expect_same_bits(const Tensor& want, const Tensor& got) {
+  ASSERT_EQ(want.shape(), got.shape());
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                           static_cast<std::size_t>(want.numel()) * sizeof(float)));
+}
+
+// Enough seeds that every crop offset occurs; pad 6 exceeds the image, so
+// some crops are all padding. The rngs must also end in the same state.
+TEST(Augment, CropBitwiseEqualToAtReference) {
+  Rng img_rng(20);
+  const Tensor img = Tensor::randn({3, 5, 7}, img_rng);
+  for (std::int64_t pad : {0, 2, 6}) {
+    const RandomCrop crop(pad);
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      SCOPED_TRACE("pad=" + std::to_string(pad) + " seed=" + std::to_string(seed));
+      Rng r_ref(seed), r_new(seed);
+      expect_same_bits(random_crop_at_ref(img, pad, r_ref), crop.apply(img, r_new));
+      EXPECT_EQ(r_ref.randint(1u << 30), r_new.randint(1u << 30));
+    }
+  }
+}
+
+TEST(Augment, FlipBitwiseEqualToAtReference) {
+  Rng img_rng(21);
+  const Tensor img = Tensor::randn({3, 5, 7}, img_rng);
+  for (float p : {0.0f, 0.5f, 1.0f}) {
+    const RandomHorizontalFlip flip(p);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("p=" + std::to_string(p) + " seed=" + std::to_string(seed));
+      Rng r_ref(seed), r_new(seed);
+      expect_same_bits(random_flip_at_ref(img, p, r_ref), flip.apply(img, r_new));
+      EXPECT_EQ(r_ref.randint(1u << 30), r_new.randint(1u << 30));
+    }
   }
 }
 

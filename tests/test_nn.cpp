@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -772,6 +773,143 @@ TEST(Conv2d, BiasGradBitwiseAcrossThreadCounts) {
   fused_softmax_detail::expect_same_bits(want, g_out, "bias grad self-check");
   for (int threads : {2, 4, 8})
     fused_softmax_detail::expect_same_bits(want, bias_grad(threads), "bias grad threaded");
+}
+
+
+// ---- BatchNorm2d vs. the per-channel reference ------------------------------
+
+// The BatchNorm2d forward and backward as they were before the channel folds
+// were interleaved: each channel's mean, variance, dgamma and dbeta is one
+// double add chain over samples b, then positions i. Running stats are
+// updated in place in train mode, as the layer does.
+struct BatchNormRef {
+  Tensor out, dx, dgamma, dbeta;
+};
+
+BatchNormRef batchnorm_per_channel_ref(const Tensor& xv, const Tensor& gamma, const Tensor& beta,
+                                       Tensor& running_mean, Tensor& running_var, float eps,
+                                       float momentum, bool train, const Tensor& g) {
+  const std::int64_t n = xv.shape()[0], c = xv.shape()[1], hw = xv.shape()[2] * xv.shape()[3];
+  const std::int64_t m = n * hw;
+  Tensor mean({c}), var({c});
+  if (train) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      double s = 0.0;
+      for (std::int64_t b = 0; b < n; ++b) {
+        const float* p = xv.data() + (b * c + ch) * hw;
+        for (std::int64_t i = 0; i < hw; ++i) s += p[i];
+      }
+      mean[ch] = static_cast<float>(s / static_cast<double>(m));
+      double v = 0.0;
+      for (std::int64_t b = 0; b < n; ++b) {
+        const float* p = xv.data() + (b * c + ch) * hw;
+        for (std::int64_t i = 0; i < hw; ++i) {
+          const double d = p[i] - mean[ch];
+          v += d * d;
+        }
+      }
+      var[ch] = static_cast<float>(v / static_cast<double>(m));
+    }
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      running_mean[ch] = momentum * running_mean[ch] + (1.0f - momentum) * mean[ch];
+      running_var[ch] = momentum * running_var[ch] + (1.0f - momentum) * var[ch];
+    }
+  } else {
+    mean = running_mean;
+    var = running_var;
+  }
+  Tensor inv_std({c});
+  for (std::int64_t ch = 0; ch < c; ++ch) inv_std[ch] = 1.0f / std::sqrt(var[ch] + eps);
+  Tensor xhat(xv.shape());
+  BatchNormRef r{Tensor(xv.shape()), Tensor(xv.shape()), Tensor({c}), Tensor({c})};
+  for (std::int64_t b = 0; b < n; ++b)
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      const float mu = mean[ch], is = inv_std[ch];
+      const float ga = gamma[ch], be = beta[ch];
+      const float* src = xv.data() + (b * c + ch) * hw;
+      float* xh = xhat.data() + (b * c + ch) * hw;
+      float* dst = r.out.data() + (b * c + ch) * hw;
+      for (std::int64_t i = 0; i < hw; ++i) {
+        xh[i] = (src[i] - mu) * is;
+        dst[i] = ga * xh[i] + be;
+      }
+    }
+  for (std::int64_t b = 0; b < n; ++b)
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      const float* gp = g.data() + (b * c + ch) * hw;
+      const float* xh = xhat.data() + (b * c + ch) * hw;
+      double dg = 0.0, db = 0.0;
+      for (std::int64_t i = 0; i < hw; ++i) {
+        dg += static_cast<double>(gp[i]) * xh[i];
+        db += gp[i];
+      }
+      r.dgamma[ch] += static_cast<float>(dg);
+      r.dbeta[ch] += static_cast<float>(db);
+    }
+  const float inv_m = 1.0f / static_cast<float>(m);
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    const float ga = gamma[ch], is = inv_std[ch];
+    const float sum_dxhat = r.dbeta[ch] * ga;
+    const float sum_dxhat_xhat = r.dgamma[ch] * ga;
+    for (std::int64_t b = 0; b < n; ++b) {
+      const float* gp = g.data() + (b * c + ch) * hw;
+      const float* xh = xhat.data() + (b * c + ch) * hw;
+      float* dp = r.dx.data() + (b * c + ch) * hw;
+      for (std::int64_t i = 0; i < hw; ++i) {
+        const float dxhat = gp[i] * ga;
+        if (train) {
+          dp[i] = is * (dxhat - inv_m * sum_dxhat - xh[i] * inv_m * sum_dxhat_xhat);
+        } else {
+          dp[i] = is * dxhat;
+        }
+      }
+    }
+  }
+  // A leaf's first gradient is stored as 0.0f + g (see Node::accumulate_grad).
+  for (std::int64_t i = 0; i < r.dx.numel(); ++i) r.dx[i] = 0.0f + r.dx[i];
+  return r;
+}
+
+// Channel counts below, at, between and above the interleave width, so the
+// full blocks and the one-channel remainder both run; odd H*W and batch 1
+// and 3. Train and eval, and eval forward under a NoGradGuard (no xhat).
+TEST(BatchNorm, BitwiseEqualToPerChannelReference) {
+  using fused_softmax_detail::expect_same_bits;
+  Rng rng(140);
+  for (std::int64_t c : {1, 2, 3, 8, 9, 17})
+    for (std::int64_t n : {1, 3})
+      for (bool train : {true, false}) {
+        const std::string what = "c=" + std::to_string(c) + " n=" + std::to_string(n) +
+                                 (train ? " train" : " eval");
+        SCOPED_TRACE(what);
+        const Tensor x = Tensor::randn({n, c, 3, 5}, rng, 0.5f, 2.0f);
+        const Tensor g = Tensor::randn(x.shape(), rng);
+        BatchNorm2d bn(c, 1e-5f, 0.8f);
+        bn.gamma.mutable_value() = Tensor::randn({c}, rng, 1.0f, 0.3f);
+        bn.beta.mutable_value() = Tensor::randn({c}, rng);
+        bn.running_mean = Tensor::randn({c}, rng);
+        bn.running_var = Tensor::rand({c}, rng, 0.5f, 2.0f);
+        Tensor ref_mean = bn.running_mean, ref_var = bn.running_var;
+        const BatchNormRef want =
+            batchnorm_per_channel_ref(x, bn.gamma.value(), bn.beta.value(), ref_mean, ref_var,
+                                      bn.eps, bn.momentum, train, g);
+        bn.set_training(train);
+        if (!train) {
+          autograd::NoGradGuard no_grad;
+          Variable y = bn.forward(Variable(x, true));
+          EXPECT_FALSE(y.requires_grad());
+          expect_same_bits(want.out, y.value(), "forward under NoGradGuard");
+        }
+        Variable vx(x, true);
+        Variable y = bn.forward(vx);
+        y.backward(g);
+        expect_same_bits(want.out, y.value(), "forward");
+        expect_same_bits(ref_mean, bn.running_mean, "running_mean");
+        expect_same_bits(ref_var, bn.running_var, "running_var");
+        expect_same_bits(want.dx, vx.grad(), "dx");
+        expect_same_bits(want.dgamma, bn.gamma.grad(), "dgamma");
+        expect_same_bits(want.dbeta, bn.beta.grad(), "dbeta");
+      }
 }
 
 }  // namespace
