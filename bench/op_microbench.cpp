@@ -25,6 +25,8 @@
 #include "nn/functional.h"
 #include "nn/layers.h"
 #include "parallel/parallel_for.h"
+#include "reference/conv_ref.h"
+#include "reference/gemm_ref.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
@@ -98,17 +100,12 @@ BENCHMARK(BM_GemmShapeRef)
 
 // Each kernel build the binary carries (tensor::detail::gemm_variants(), Arg
 // 0 = widest) at the MiniGo conv shape, for the float kernel (Arg 1 = 0) and
-// the double-accumulator dW kernel (Arg 1 = 1). Puts the avx2-vs-default
-// speedup on one binary and one host; a build this CPU cannot run is
-// skipped with an error.
+// the double-accumulator dW kernel (Arg 1 = 1). Puts the avx512-vs-avx2-vs-
+// default speedup on one binary and one host. main() registers one row per
+// build this CPU can run.
 static void BM_GemmVariant(benchmark::State& state) {
-  const auto variants = tensor::detail::gemm_variants();
-  const std::size_t idx = static_cast<std::size_t>(state.range(0));
-  if (idx >= variants.size() || !variants[idx].host_supported) {
-    state.SkipWithError("no such kernel build on this host");
-    return;
-  }
-  const tensor::detail::GemmVariant& v = variants[idx];
+  const tensor::detail::GemmVariant& v =
+      tensor::detail::gemm_variants()[static_cast<std::size_t>(state.range(0))];
   state.SetLabel(v.isa);
   const std::int64_t m = 16, k = 144, n = 81;
   Rng rng(12);
@@ -128,9 +125,6 @@ static void BM_GemmVariant(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-BENCHMARK(BM_GemmVariant)
-    ->ArgNames({"variant", "f64acc"})
-    ->ArgsProduct({{0, 1}, {0, 1}});
 
 // Batched matmul at the attention shape of the suite's Transformer (batch 4,
 // 4 heads, seq 32, head dim 8): scores = Q K^T through the transposed-B
@@ -238,26 +232,46 @@ static void BM_Conv2dDw(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dDw)->Arg(8)->Arg(16);
 
-// One sample's im2col lowering (3x3 kernel, stride 1, padding 1) at the
-// suite's two conv planes. Args are {channels, side}: {8, 16} is the first
-// ResNet-mini stage, {16, 9} the MiniGo tower on a 9x9 board.
-static void BM_Im2col(benchmark::State& state) {
+// One sample's conv lowering into GEMM panels (3x3 kernel, stride 1,
+// padding 1) at the suite's two conv planes: {8, 16} is the first
+// ResNet-mini stage, {16, 9} the MiniGo tower on a 9x9 board. Arg direct 0
+// is the former two-pass route (the reference im2col slab, then
+// gemm_pack_b), direct 1 writes the panels straight from the image
+// (nn::detail::lower_conv_panels). Arg dw 0 writes only the forward's
+// Trans::N panels (an inference forward), dw 1 also the dW operand's
+// Trans::T panels (a cached training forward).
+static void BM_ConvLowering(benchmark::State& state) {
   nn::detail::ConvDims d{};
   d.n = 1;
   d.c = state.range(0);
   d.h = d.w = d.oh = d.ow = state.range(1);
   d.o = d.c;
   d.kh = d.kw = 3;
-  Rng rng(15);
+  const bool dw = state.range(2) != 0;
+  const bool direct = state.range(3) != 0;
+  const std::int64_t rows = d.c * 9, cols = d.oh * d.ow;
+  Rng rng(16);
   Tensor x = Tensor::randn({d.c, d.h, d.w}, rng);
-  std::vector<float> cols(static_cast<std::size_t>(d.c * 9 * d.oh * d.ow));
+  std::vector<float> patch(static_cast<std::size_t>(rows * cols));
+  std::vector<float> bp_n(static_cast<std::size_t>(tensor::gemm_packed_b_size(rows, cols)));
+  std::vector<float> bp_t(static_cast<std::size_t>(tensor::gemm_packed_b_size(cols, rows)));
   for (auto _ : state) {
-    nn::detail::im2col(x.data(), d, 1, 1, cols.data());
-    benchmark::DoNotOptimize(cols.data());
+    if (direct) {
+      nn::detail::lower_conv_panels(x.data(), d, 1, 1, bp_n.data(), dw ? bp_t.data() : nullptr);
+    } else {
+      nn::detail::im2col(x.data(), d, 1, 1, patch.data());
+      tensor::gemm_pack_b(tensor::Trans::N, patch.data(), cols, rows, cols, bp_n.data());
+      if (dw) tensor::gemm_pack_b(tensor::Trans::T, patch.data(), cols, cols, rows, bp_t.data());
+    }
+    benchmark::DoNotOptimize(bp_n.data());
+    benchmark::DoNotOptimize(bp_t.data());
+    benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(cols.size()) * 4);
 }
-BENCHMARK(BM_Im2col)->ArgNames({"c", "hw"})->Args({8, 16})->Args({16, 9});
+BENCHMARK(BM_ConvLowering)
+    ->ArgNames({"c", "hw", "dw", "direct"})
+    ->ArgsProduct({{8}, {16}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{16}, {9}, {0, 1}, {0, 1}});
 
 // Full conv train step with the step-scoped im2col pack cache off (Arg 0) and
 // on (Arg 1). Doubles as the CI smoke check of the cache contract: the run
@@ -586,6 +600,12 @@ int main(int argc, char** argv) {
                                   " mc=" + std::to_string(tensor::kGemmMC));
   benchmark::AddCustomContext("num_threads_default",
                               std::to_string(parallel::num_threads()));
+  const auto variants = tensor::detail::gemm_variants();
+  for (std::size_t i = 0; i < variants.size(); ++i)
+    if (variants[i].host_supported)
+      benchmark::RegisterBenchmark("BM_GemmVariant", BM_GemmVariant)
+          ->ArgNames({"variant", "f64acc"})
+          ->ArgsProduct({{static_cast<std::int64_t>(i)}, {0, 1}});
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

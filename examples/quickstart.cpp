@@ -19,7 +19,9 @@
 //   --op_profile                   per-op cumulative time profile: prints one
 //                                  line per instrumented op after the run
 //                                  (also emitted as op_profile log events)
-//   --conv_pack_cache=0|1          step-scoped im2col pack cache (default 1);
+//   --conv_pack_cache=0|1          step-scoped conv pack cache (default 1):
+//                                  the forward's lowering sweep also keeps
+//                                  ready-packed dW panels for the backward;
 //                                  CI greps the im2col_calls line to pin the
 //                                  one-sweep-per-conv-layer-per-step contract
 #include <cstdio>
@@ -173,7 +175,8 @@ int main(int argc, char** argv) {
     std::printf("steady-state pool misses after warm-up: %lld\n",
                 static_cast<long long>(out.pool_steady_misses));
     // The pack-cache contract line CI greps: with the cache on, every conv
-    // train step costs one im2col sweep per conv layer; uncached, two.
+    // train step costs one lowering (im2col) sweep per conv layer; uncached,
+    // two.
     std::printf("im2col sweeps: %lld (pack cache %s, %lld bytes live)\n",
                 static_cast<long long>(nn::im2col_calls()),
                 nn::conv_pack_cache_enabled() ? "on" : "off",

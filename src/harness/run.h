@@ -82,10 +82,11 @@ struct RunOptions {
   /// reported time-to-train spans the whole preempt/restart history.
   std::string resume_from;
   FaultPlan fault;
-  /// Step-scoped im2col pack cache (nn::set_conv_pack_cache): conv2d forward
-  /// keeps its patch slabs alive for the dW backward instead of re-running
-  /// im2col. Purely a memory/speed knob — gradients are bitwise identical
-  /// either way — capped at `conv_pack_cache_cap_bytes` of live slabs.
+  /// Step-scoped conv pack cache (nn::set_conv_pack_cache): conv2d's forward
+  /// lowering sweep also writes the dW GEMM's operand as ready-packed panels
+  /// and keeps them alive for the backward, which then neither lowers nor
+  /// packs. Purely a memory/speed knob — gradients are bitwise identical
+  /// either way — capped at `conv_pack_cache_cap_bytes` of live panel bytes.
   bool conv_pack_cache = true;
   std::int64_t conv_pack_cache_cap_bytes = std::int64_t{256} << 20;
   /// Reset and enable the per-op time profile (core::OpProfile) for this run

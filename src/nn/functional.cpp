@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <new>
 #include <stdexcept>
 
 #include "core/op_profile.h"
@@ -73,29 +75,115 @@ ValidRange valid_range(std::int64_t n_out, std::int64_t stride, std::int64_t off
 
 namespace detail {
 
-void im2col(const float* src, const ConvDims& d, std::int64_t stride, std::int64_t padding,
-            float* cols) {
+namespace {
+using i32x4 = std::int32_t __attribute__((vector_size(16)));
+}  // namespace
+
+void lower_conv_panels(const float* src, const ConvDims& d, std::int64_t stride,
+                       std::int64_t padding, float* bp_n, float* bp_t) {
+  constexpr std::int64_t NR = tensor::kGemmNR;
   const std::int64_t patch = d.kh * d.kw;
-  for (std::int64_t c = 0; c < d.c; ++c) {
-    for (std::int64_t p = 0; p < patch; ++p) {
-      const std::int64_t ki = p / d.kw, kj = p % d.kw;
-      float* row = cols + (c * patch + p) * (d.oh * d.ow);
-      const ValidRange ro = valid_range(d.oh, stride, ki - padding, d.h);
-      const ValidRange co = valid_range(d.ow, stride, kj - padding, d.w);
-      std::fill(row, row + ro.lo * d.ow, 0.0f);
-      for (std::int64_t oi = ro.lo; oi < ro.hi; ++oi) {
-        float* out = row + oi * d.ow;
-        // Input index of output column oj is base + oj*stride (>= 0 inside co).
-        const std::int64_t base = (c * d.h + oi * stride - padding + ki) * d.w + kj - padding;
-        std::fill(out, out + co.lo, 0.0f);
-        if (stride == 1) {
-          std::copy(src + base + co.lo, src + base + co.hi, out + co.lo);
-        } else {
-          for (std::int64_t oj = co.lo; oj < co.hi; ++oj) out[oj] = src[base + oj * stride];
-        }
-        std::fill(out + co.hi, out + d.ow, 0.0f);
+  const std::int64_t rows = d.c * patch;
+  const std::int64_t cols = d.oh * d.ow;
+  tensor::ScratchArena::Frame frame(tensor::ScratchArena::tls());
+
+  // The image the taps read: the sample itself when unpadded (a 1x1,
+  // stride-1 conv's rows are then its planes, copied into panels directly),
+  // else a copy with a zero border, so every tap lies inside it.
+  const std::int64_t hp = d.h + 2 * padding, wp = d.w + 2 * padding;
+  if (d.c * hp * wp > std::numeric_limits<std::int32_t>::max())
+    throw std::invalid_argument("conv2d: sample too large for 32-bit tap offsets");
+  const float* img = src;
+  if (padding > 0) {
+    float* padded = frame.alloc(d.c * hp * wp);
+    std::fill(padded, padded + d.c * hp * wp, 0.0f);
+    for (std::int64_t c = 0; c < d.c; ++c)
+      for (std::int64_t i = 0; i < d.h; ++i)
+        std::copy(src + (c * d.h + i) * d.w, src + (c * d.h + i + 1) * d.w,
+                  padded + (c * hp + i + padding) * wp + padding);
+    img = padded;
+  }
+  // Row r = (channel, ki, kj) of the patch matrix, column q = (oi, oj), is
+  // img[row_base[r] + off[q]]. Offsets rise by at least 1 per column.
+  const std::int64_t chunks = (cols + NR - 1) / NR;
+  // Placement new starts the tables' lifetime in the float arena's storage.
+  auto int_tables = [&](std::int64_t n) { return new (frame.alloc(n)) std::int32_t[n]; };
+  std::int32_t* row_base = int_tables(rows);
+  std::int32_t* off = int_tables(cols);
+  std::int32_t* split = int_tables(chunks);
+  for (std::int64_t c = 0, r = 0; c < d.c; ++c)
+    for (std::int64_t ki = 0; ki < d.kh; ++ki)
+      for (std::int64_t kj = 0; kj < d.kw; ++kj)
+        row_base[r++] = static_cast<std::int32_t>((c * hp + ki) * wp + kj);
+  for (std::int64_t oi = 0, q = 0; oi < d.oh; ++oi)
+    for (std::int64_t oj = 0; oj < d.ow; ++oj)
+      off[q++] = static_cast<std::int32_t>((oi * wp + oj) * stride);
+  // Chunk j, columns [j*NR, j*NR + NR), has the same shape in every row.
+  // split[j] = a in [1, NR]: columns [0, a) are one contiguous run starting at
+  // off[j*NR] and [a, NR) one ending at off[j*NR + NR - 1] (a == NR: a single
+  // run). Either run read as NR floats stays between the chunk's first and
+  // last tap. split[j] = 0: anything else (strided taps, more than two runs,
+  // the last partial chunk), gathered element by element.
+  for (std::int64_t j = 0; j < chunks; ++j) {
+    const std::int32_t* o = off + j * NR;
+    std::int64_t breaks = 0, a = NR;
+    if (j * NR + NR > cols) breaks = 2;
+    for (std::int64_t e = 1; e < NR && breaks < 2; ++e)
+      if (o[e] - o[e - 1] != 1) {
+        ++breaks;
+        a = e;
       }
-      std::fill(row + ro.hi * d.ow, row + d.oh * d.ow, 0.0f);
+    split[j] = breaks < 2 ? static_cast<std::int32_t>(a) : 0;
+  }
+
+  // Writes chunk j of the patch-matrix row whose taps start at `base` to
+  // `out`, zero past the last column.
+  auto lower_chunk = [&](const float* base, std::int64_t j, float* out) {
+    const std::int32_t* o = off + j * NR;
+    const std::int32_t a = split[j];
+    if (a == NR) {
+      std::memcpy(out, base + o[0], NR * sizeof(float));
+    } else if (a > 0) {
+      // Both runs loaded whole, lanes picked by a mask: only bits move.
+      for (std::int32_t h = 0; h < NR / 4; ++h) {
+        i32x4 head, tail;
+        std::memcpy(&head, base + o[0] + 4 * h, sizeof head);
+        std::memcpy(&tail, base + o[NR - 1] - (NR - 1) + 4 * h, sizeof tail);
+        const i32x4 lane = {4 * h, 4 * h + 1, 4 * h + 2, 4 * h + 3};
+        const i32x4 in_head = lane < i32x4{a, a, a, a};
+        const i32x4 v = (head & in_head) | (tail & ~in_head);
+        std::memcpy(out + 4 * h, &v, sizeof v);
+      }
+    } else {
+      const std::int64_t nq = std::min(NR, cols - j * NR);
+      for (std::int64_t e = 0; e < nq; ++e) out[e] = base[o[e]];
+      std::fill(out + nq, out + NR, 0.0f);
+    }
+  };
+
+  // A Trans::N panel holds one NR-column chunk of every row: an inference
+  // forward writes each chunk straight into its panel, panel by panel.
+  if (!bp_t) {
+    if (!bp_n) return;
+    for (std::int64_t j = 0; j < chunks; ++j)
+      for (std::int64_t r = 0; r < rows; ++r)
+        lower_chunk(img + row_base[r], j, bp_n + (j * rows + r) * NR);
+    return;
+  }
+  // Otherwise NR rows x NR columns at a time form a tile: its rows are NR
+  // chunks of the N panels, its transpose NR rows of one T panel. Tile rows
+  // past the last patch row stay zero: the T panel's padding lanes.
+  float tile[NR][NR];
+  for (std::int64_t r0 = 0; r0 < rows; r0 += NR) {
+    const std::int64_t nr = std::min(NR, rows - r0);
+    for (std::int64_t l = nr; l < NR; ++l) std::fill(tile[l], tile[l] + NR, 0.0f);
+    for (std::int64_t j = 0; j < chunks; ++j) {
+      for (std::int64_t l = 0; l < nr; ++l) {
+        lower_chunk(img + row_base[r0 + l], j, tile[l]);
+        if (bp_n) std::memcpy(bp_n + (j * rows + r0 + l) * NR, tile[l], sizeof tile[l]);
+      }
+      tensor::gemm_pack_b_tile_t(tile[0], std::min(NR, cols - j * NR),
+                                 bp_t + r0 * cols + j * NR * NR);
     }
   }
 }
@@ -128,22 +216,23 @@ void col2im_accumulate(const float* cols, const ConvDims& d, std::int64_t stride
 namespace {
 
 using detail::col2im_accumulate;
-using detail::im2col;
+using detail::lower_conv_panels;
 
-// ---- step-scoped im2col pack cache -----------------------------------------
+// ---- step-scoped conv pack cache -------------------------------------------
 
 std::atomic<std::int64_t> g_im2col_calls{0};
 std::atomic<bool> g_pack_cache_enabled{true};
 std::atomic<std::int64_t> g_pack_cache_cap{std::int64_t{256} << 20};
 std::atomic<std::int64_t> g_pack_cache_live{0};
 
-// One forward's im2col patch slabs, [N, col_rows*col_cols]. The backward
-// closure holds the only owning reference, so Variable::backward()'s graph
+// One forward's dW operands, [N, dw_panel_size]: per sample, the patch matrix
+// transposed and packed into Trans::T GEMM panels. The backward closure holds
+// the only owning reference, so Variable::backward()'s graph
 // teardown (or plain graph destruction) is what releases the buffer back to
 // the TensorPool — the cache is scoped to the step by construction, no
 // explicit invalidation step exists or is needed.
 struct PackCache {
-  tensor::Tensor cols;
+  tensor::Tensor panels;
   std::int64_t bytes = 0;
   ~PackCache() { g_pack_cache_live.fetch_sub(bytes, std::memory_order_relaxed); }
 };
@@ -175,22 +264,26 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
 
   const std::int64_t col_rows = d.c * d.kh * d.kw;
   const std::int64_t col_cols = d.oh * d.ow;
+  // Per sample: the forward GEMM's B operand (patch matrix, Trans::N panels)
+  // and the dW GEMM's (its transpose, Trans::T panels, padded to NR rows).
+  const std::int64_t fwd_panel_size = tensor::gemm_packed_b_size(col_rows, col_cols);
+  const std::int64_t dw_panel_size = tensor::gemm_packed_b_size(col_cols, col_rows);
   Tensor out({d.n, d.o, d.oh, d.ow});
 
-  // When backward will need dW, keep this forward's patch slabs alive so the
-  // dW pass reads them instead of re-running im2col per sample. An op whose
-  // slab would push the global live total past the cap just runs uncached;
-  // under a NoGradGuard there is no backward, so nothing is cached.
+  // When backward will need dW, the forward's lowering sweep also writes the
+  // dW panels and keeps them alive, so the dW pass neither lowers nor packs.
+  // An op whose panels would push the global live total past the cap just
+  // runs uncached; under a NoGradGuard there is no backward, so nothing is
+  // cached.
   std::shared_ptr<PackCache> cache;
   if (weight.requires_grad() && !autograd::NoGradGuard::active() &&
       g_pack_cache_enabled.load(std::memory_order_relaxed)) {
-    const std::int64_t bytes =
-        d.n * col_rows * col_cols * static_cast<std::int64_t>(sizeof(float));
+    const std::int64_t bytes = d.n * dw_panel_size * static_cast<std::int64_t>(sizeof(float));
     if (g_pack_cache_live.load(std::memory_order_relaxed) + bytes <=
         g_pack_cache_cap.load(std::memory_order_relaxed)) {
       cache = std::make_shared<PackCache>();
-      // Every slab is fully written by im2col below before the op returns.
-      cache->cols = Tensor::uninitialized({d.n, col_rows * col_cols});
+      // Every sample's panels are fully written below before the op returns.
+      cache->panels = Tensor::uninitialized({d.n, dw_panel_size});
       cache->bytes = bytes;
       g_pack_cache_live.fetch_add(bytes, std::memory_order_relaxed);
     }
@@ -198,9 +291,8 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
 
   // Split over samples: each sample's output slab is written by exactly one
   // task with a kernel whose per-element accumulation order is fixed, so
-  // results are bitwise identical at any thread count. The GEMM pack panels
-  // (and, uncached, the im2col column buffer) live in the task's scratch
-  // arena and are reused across samples and steps.
+  // results are bitwise identical at any thread count. The forward panels
+  // live in the task's scratch arena and are reused across samples and steps.
   g_im2col_calls.fetch_add(1, std::memory_order_relaxed);
   {
     core::OpTimer op_timer(core::ProfiledOp::kConvForward);
@@ -208,16 +300,13 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
         parallel::grain_for(d.o * col_rows * col_cols), d.n,
         [&](std::int64_t s_begin, std::int64_t s_end) {
           tensor::ScratchArena::Frame frame(tensor::ScratchArena::tls());
-          float* scratch_cols = cache ? nullptr : frame.alloc(col_rows * col_cols);
-          float* bp = frame.alloc(tensor::gemm_packed_b_size(col_rows, col_cols));
+          float* bp = frame.alloc(fwd_panel_size);
           for (std::int64_t s = s_begin; s < s_end; ++s) {
-            float* cols =
-                cache ? cache->cols.data() + s * col_rows * col_cols : scratch_cols;
             {
               core::OpTimer t(core::ProfiledOp::kIm2col);
-              im2col(input.value().data() + s * d.c * d.h * d.w, d, stride, padding, cols);
+              lower_conv_panels(input.value().data() + s * d.c * d.h * d.w, d, stride, padding,
+                                bp, cache ? cache->panels.data() + s * dw_panel_size : nullptr);
             }
-            tensor::gemm_pack_b(tensor::Trans::N, cols, col_cols, col_rows, col_cols, bp);
             tensor::gemm_packed(tensor::Trans::N, weight.value().data(), col_rows, bp, d.o,
                                 col_cols, col_rows, out.data() + s * d.o * col_cols, col_cols);
             if (has_bias) {
@@ -241,8 +330,15 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
       [in_node, w_node, b_node, d, stride, padding, has_bias, cache](const Tensor& g) {
         const std::int64_t col_rows = d.c * d.kh * d.kw;
         const std::int64_t col_cols = d.oh * d.ow;
+        const std::int64_t dw_panel_size = tensor::gemm_packed_b_size(col_cols, col_rows);
         const bool need_w = w_node->requires_grad;
         const bool need_x = in_node->requires_grad;
+        // A 1x1, stride-1, unpadded conv's patch matrix is the sample itself,
+        // so W^T g_s is already dX_s: it folds straight into the zeroed dX
+        // slice. Bitwise the same as folding into zeroed dcols and adding
+        // those onto zeroed dX: a fold that starts from +0 never yields -0,
+        // so 0 + v == v.
+        const bool pointwise = d.kh == 1 && d.kw == 1 && stride == 1 && padding == 0;
         Tensor dW = need_w ? Tensor({d.o, d.c, d.kh, d.kw}) : Tensor();
         Tensor dX = need_x ? Tensor(in_node->value.shape()) : Tensor();
         const std::int64_t wnumel = d.o * col_rows;
@@ -254,51 +350,54 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
         // read only after the parallel_for joins.
         tensor::ScratchArena::Frame caller_frame(tensor::ScratchArena::tls());
         float* dw_partials = need_w ? caller_frame.alloc(d.n * wnumel) : nullptr;
-        const bool repack = need_w && !cache;
-        if (repack) g_im2col_calls.fetch_add(1, std::memory_order_relaxed);
+        const bool relower = need_w && !cache;
+        if (relower) g_im2col_calls.fetch_add(1, std::memory_order_relaxed);
         parallel::parallel_for(
             parallel::grain_for(d.o * col_rows * col_cols), d.n,
             [&](std::int64_t s_begin, std::int64_t s_end) {
               tensor::ScratchArena::Frame frame(tensor::ScratchArena::tls());
-              float* scratch_cols = repack ? frame.alloc(col_rows * col_cols) : nullptr;
-              float* dcols = need_x ? frame.alloc(col_rows * col_cols) : nullptr;
+              float* scratch_panels = relower ? frame.alloc(dw_panel_size) : nullptr;
+              float* dcols = need_x && !pointwise ? frame.alloc(col_rows * col_cols) : nullptr;
               for (std::int64_t s = s_begin; s < s_end; ++s) {
                 const float* gs = g.data() + s * d.o * col_cols;
                 if (need_w) {
-                  const float* cols;
+                  const float* panels;
                   if (cache) {
-                    cols = cache->cols.data() + s * col_rows * col_cols;
+                    panels = cache->panels.data() + s * dw_panel_size;
                   } else {
                     core::OpTimer t(core::ProfiledOp::kIm2col);
-                    im2col(in_node->value.data() + s * d.c * d.h * d.w, d, stride, padding,
-                           scratch_cols);
-                    cols = scratch_cols;
+                    lower_conv_panels(in_node->value.data() + s * d.c * d.h * d.w, d, stride,
+                                      padding, nullptr, scratch_panels);
+                    panels = scratch_panels;
                   }
                   // dW_s[o, col_rows] = g_s[o, col_cols] * cols^T[col_cols, col_rows]
-                  // through the packed double-accumulator kernel. gemm_f64acc
+                  // through the prepacked double-accumulator kernel, which
                   // keeps the float product / double ascending-k fold of the
                   // naive dot-product loop this replaces, so the weight
                   // gradient is bitwise unchanged (tests/test_gemm.cpp pins
                   // the kernel, tests/test_parallel.cpp the conv trajectory).
                   core::OpTimer t(core::ProfiledOp::kConvDw);
-                  tensor::gemm_f64acc(tensor::Trans::N, tensor::Trans::T, d.o, col_rows,
-                                      col_cols, gs, col_cols, cols, col_cols,
-                                      dw_partials + s * wnumel, col_rows);
+                  tensor::gemm_f64acc_packed(tensor::Trans::N, gs, col_cols, panels, d.o,
+                                             col_rows, col_cols, dw_partials + s * wnumel,
+                                             col_rows);
                 }
                 if (need_x) {
                   // dcols = W^T g_s via the transposed-A GEMM variant: the pack
                   // step reads W [O, col_rows] column-wise, so no transposed
                   // copy of the weights is materialized.
-                  std::fill(dcols, dcols + col_rows * col_cols, 0.0f);
+                  float* dx_s = dX.data() + s * d.c * d.h * d.w;
+                  float* dst = pointwise ? dx_s : dcols;
+                  if (!pointwise) std::fill(dcols, dcols + col_rows * col_cols, 0.0f);
                   {
                     core::OpTimer t(core::ProfiledOp::kConvDx);
                     tensor::gemm_accumulate(tensor::Trans::T, tensor::Trans::N, col_rows,
                                             col_cols, d.o, w_node->value.data(), col_rows, gs,
-                                            col_cols, dcols, col_cols);
+                                            col_cols, dst, col_cols);
                   }
-                  core::OpTimer t(core::ProfiledOp::kCol2im);
-                  col2im_accumulate(dcols, d, stride, padding,
-                                    dX.data() + s * d.c * d.h * d.w);
+                  if (!pointwise) {
+                    core::OpTimer t(core::ProfiledOp::kCol2im);
+                    col2im_accumulate(dcols, d, stride, padding, dx_s);
+                  }
                 }
               }
             });

@@ -4,7 +4,9 @@
 
 namespace mlperf::nn {
 
-/// Differentiable NCHW 2-D convolution via im2col + GEMM.
+/// Differentiable NCHW 2-D convolution as a GEMM over the patch matrix
+/// (im2col), lowered straight into the GEMM's packed panels: no patch matrix
+/// is ever materialized (detail::lower_conv_panels).
 /// input: [N, C, H, W]; weight: [O, C, KH, KW]; bias: [O] (may be empty
 /// Variable with numel 0 to skip). Output: [N, O, OH, OW].
 autograd::Variable conv2d(const autograd::Variable& input, const autograd::Variable& weight,
@@ -43,22 +45,25 @@ autograd::Variable fused_scaled_softmax(const autograd::Variable& scores, float 
 
 // ---- conv pack cache & diagnostics -----------------------------------------
 
-/// Step-scoped im2col pack cache knob. When enabled (the default), conv2d's
-/// forward keeps its per-sample im2col patch slabs alive in a pooled Tensor
-/// owned by the backward closure — Variable::backward()'s graph teardown (or
-/// graph destruction) releases it at the end of the step — so the dW pass
-/// skips the per-sample re-pack. A conv op whose slab would push the global
-/// live total past `cap_bytes` simply falls back to the re-pack path.
+/// Step-scoped conv pack cache knob. When enabled (the default), conv2d's
+/// forward lowering sweep also writes each sample's weight-gradient operand —
+/// the patch matrix transposed, as ready-packed GEMM panels — into a pooled
+/// Tensor owned by the backward closure, so the dW pass runs its GEMM on them
+/// without lowering or packing anything. Variable::backward()'s graph
+/// teardown (or graph destruction) releases them at the end of the step. A
+/// conv op whose panels would push the global live total past `cap_bytes`
+/// simply falls back to lowering the panels again in backward.
 void set_conv_pack_cache(bool enabled, std::int64_t cap_bytes = std::int64_t{256} << 20);
 bool conv_pack_cache_enabled();
 std::int64_t conv_pack_cache_cap_bytes();
-/// Bytes of cached patch slabs currently live (forwards whose backward has not
+/// Bytes of cached dW panels currently live (forwards whose backward has not
 /// yet run/torn down). Returns to 0 once all conv graphs of a step are freed.
 std::int64_t conv_pack_cache_live_bytes();
-/// Diagnostic counter: cumulative batched im2col sweeps (one per conv2d
-/// forward, plus one per dW backward that had to re-pack because the cache
-/// was off or over cap). With the cache on, a train step costs exactly one
-/// sweep per conv layer; uncached, two. Pinned in tests/test_autograd.cpp.
+/// Diagnostic counter: cumulative batched lowering (im2col) sweeps — one per
+/// conv2d forward, plus one per dW backward that had to lower again because
+/// the cache was off or over cap. With the cache on, a train step costs
+/// exactly one sweep per conv layer; uncached, two. Pinned in
+/// tests/test_autograd.cpp.
 std::int64_t im2col_calls();
 
 // ---- losses ----------------------------------------------------------------
@@ -101,18 +106,25 @@ struct ConvDims {
   std::int64_t n, c, h, w, o, kh, kw, oh, ow;
 };
 
-/// conv2d's lowering of one sample [c, h, w] to its patch matrix
-/// cols [c*kh*kw, oh*ow]; taps that fall in the zero padding read 0. Each
-/// (channel, ki, kj) row computes its in-bounds output range once, zero-fills
-/// the borders and copies the interior. Exposed for the bitwise refchecks in
-/// tests/test_nn.cpp.
-void im2col(const float* src, const ConvDims& d, std::int64_t stride, std::int64_t padding,
-            float* cols);
+/// conv2d's lowering of one sample [c, h, w] straight into GEMM panels. The
+/// patch matrix is cols [c*kh*kw, oh*ow] (row (channel, ki, kj), column
+/// (oi, oj); taps that fall in the zero padding read 0), but it is never
+/// stored: it is read from the image kGemmNR columns at a time, straight
+/// into the panels. `bp_n`, when non-null, receives exactly
+/// gemm_pack_b(Trans::N, cols, oh*ow, c*kh*kw, oh*ow) — the forward GEMM's
+/// B operand — and `bp_t`, when non-null, exactly
+/// gemm_pack_b(Trans::T, cols, oh*ow, oh*ow, c*kh*kw) — the dW GEMM's. A 1x1,
+/// stride-1, unpadded conv's rows are the input planes, so those panels are
+/// packed from `src` directly. Bitwise pinned in tests/test_nn.cpp. Throws
+/// std::invalid_argument if a padded sample has 2^31 or more elements.
+void lower_conv_panels(const float* src, const ConvDims& d, std::int64_t stride,
+                       std::int64_t padding, float* bp_n, float* bp_t);
 
-/// The adjoint of im2col: adds every in-bounds entry of cols back onto its
-/// input position in dst [c, h, w]. Each dst element receives its adds in
-/// the same (channel, ki, kj, oi, oj) order as a per-element bounds-checked
-/// loop, so the result is bitwise identical to one.
+/// The adjoint of the patch-matrix lowering: adds every in-bounds entry of
+/// cols [c*kh*kw, oh*ow] back onto its input position in dst [c, h, w]. Each
+/// dst element receives its adds in the same (channel, ki, kj, oi, oj) order
+/// as a per-element bounds-checked loop, so the result is bitwise identical
+/// to one.
 void col2im_accumulate(const float* cols, const ConvDims& d, std::int64_t stride,
                        std::int64_t padding, float* dst);
 

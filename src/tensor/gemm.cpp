@@ -13,14 +13,16 @@ namespace {
 // ISA variant (the table is detail::gemm_variants): every helper is
 // force-inlined into the per-ISA entry points, so the register-tile loops are
 // compiled for that entry point's target — 128-bit SSE2 in the default build,
-// 256-bit AVX2 in the avx2 build. No variant may enable FMA (a fused
-// multiply-add rounds once, so it changes the bits), and this file is
-// compiled with -ffp-contract=off.
+// 256-bit AVX2 in the avx2 build, 512-bit double lanes in the avx512 build.
+// No variant may fuse a multiply and an add (a fused multiply-add rounds once,
+// so it changes the bits; AVX-512F itself carries FMA forms), and this file
+// is compiled with -ffp-contract=off.
 #define MLPERF_GEMM_INLINE inline __attribute__((always_inline))
 
 #if defined(__x86_64__) || defined(__i386__)
 #define MLPERF_GEMM_HAVE_AVX2 1
 #define MLPERF_GEMM_TARGET_AVX2 __attribute__((target("avx2")))
+#define MLPERF_GEMM_TARGET_AVX512 __attribute__((target("avx512f,avx512vl")))
 #else
 #define MLPERF_GEMM_HAVE_AVX2 0
 #endif
@@ -30,6 +32,9 @@ constexpr std::int64_t MC = kGemmMC;
 
 using f32x4 = float __attribute__((vector_size(16)));
 using f32x8 = float __attribute__((vector_size(32)));
+using f64x2 = double __attribute__((vector_size(16)));
+using f64x4 = double __attribute__((vector_size(32)));
+using f64x8 = double __attribute__((vector_size(64)));
 
 // Pack one MR-row strip of op(A) k-major: ap[p*MR + r] = opA[i0+r][p].
 // rs/cs are the row/column strides of op(A) over the stored matrix, so the
@@ -56,19 +61,7 @@ MLPERF_GEMM_INLINE void pack_a_strip(const float* a, std::int64_t rs, std::int64
 // through memcpy of exactly one vector, which compiles to a plain unaligned
 // load or store.
 template <class V>
-inline constexpr std::int64_t kLanes = sizeof(V) / sizeof(float);
-
-// The double vector of the same byte width as V (half its lanes).
-template <class V>
-struct Widened;
-template <>
-struct Widened<f32x4> {
-  using type = double __attribute__((vector_size(16)));
-};
-template <>
-struct Widened<f32x8> {
-  using type = double __attribute__((vector_size(32)));
-};
+inline constexpr std::int64_t kLanes = sizeof(V) / sizeof(V{}[0]);
 
 // MR x NR float tile: acc starts from the existing C values and folds the
 // packed panels' k-products in ascending k, one float accumulator per
@@ -114,18 +107,21 @@ struct FloatTile {
 // product stays float (rounding exactly where the naive `acc += g*c` loop
 // rounds) and is then widened, the fold is double, one accumulator per
 // element, ascending k. Overwrite semantics — acc starts at zero and C is
-// stored, not added to. Each float product vector widens into two double
-// vectors D of half its lanes.
-template <class V, std::int64_t MR>
+// stored, not added to. Each float product vector V widens into
+// kLanes<V> / kLanes<D> double vectors D: two half-width ones in the default
+// and avx2 builds, one 512-bit vector in the avx512 build. The widening is
+// written lane by lane, which gcc turns into one vcvtps2pd per D (gcc 12's
+// __builtin_convertvector would split an f32x8 -> f64x8 convert in two).
+template <class V, class D, std::int64_t MR>
 struct DoubleTile {
   static constexpr std::int64_t kMR = MR;
   static constexpr std::int64_t kRowVecs = NR / kLanes<V>;
-  static constexpr std::int64_t kHalf = kLanes<V> / 2;
-  using D = typename Widened<V>::type;
+  static constexpr std::int64_t kDLanes = kLanes<D>;
+  static constexpr std::int64_t kParts = kLanes<V> / kDLanes;
 
   static MLPERF_GEMM_INLINE void run(std::int64_t k, const float* ap, const float* bp, float* c,
                                      std::int64_t ldc, std::int64_t mr, std::int64_t nr) {
-    D acc[MR][2 * kRowVecs] = {};
+    D acc[MR][kRowVecs * kParts] = {};
     for (std::int64_t p = 0; p < k; ++p) {
       V bv[kRowVecs];
       for (std::int64_t v = 0; v < kRowVecs; ++v)
@@ -133,18 +129,16 @@ struct DoubleTile {
       for (std::int64_t r = 0; r < MR; ++r)
         for (std::int64_t v = 0; v < kRowVecs; ++v) {
           const V prod = ap[p * MR + r] * bv[v];
-          D lo, hi;
-          for (std::int64_t l = 0; l < kHalf; ++l) {
-            lo[l] = prod[l];
-            hi[l] = prod[kHalf + l];
+          for (std::int64_t h = 0; h < kParts; ++h) {
+            D part;
+            for (std::int64_t l = 0; l < kDLanes; ++l) part[l] = prod[h * kDLanes + l];
+            acc[r][v * kParts + h] += part;
           }
-          acc[r][2 * v] += lo;
-          acc[r][2 * v + 1] += hi;
         }
     }
     for (std::int64_t r = 0; r < mr; ++r)
       for (std::int64_t j = 0; j < nr; ++j)
-        c[r * ldc + j] = static_cast<float>(acc[r][j / kHalf][j % kHalf]);
+        c[r * ldc + j] = static_cast<float>(acc[r][j / kDLanes][j % kDLanes]);
   }
 };
 
@@ -189,11 +183,10 @@ MLPERF_GEMM_INLINE void packed_body(Trans ta, const float* a, std::int64_t lda, 
   blocked_gemm<FloatTile<V, MR>>(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
-template <class V>
-MLPERF_GEMM_INLINE void f64acc_body(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                                    std::int64_t k, const float* a, std::int64_t lda,
-                                    const float* b, std::int64_t ldb, float* c,
-                                    std::int64_t ldc) {
+template <class Tile>
+MLPERF_GEMM_INLINE void f64acc_packed_body(Trans ta, const float* a, std::int64_t lda,
+                                           const float* bp, std::int64_t m, std::int64_t n,
+                                           std::int64_t k, float* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     // Overwrite contract: an empty fold stores float(0.0) everywhere, just
@@ -202,29 +195,40 @@ MLPERF_GEMM_INLINE void f64acc_body(Trans ta, Trans tb, std::int64_t m, std::int
       for (std::int64_t j = 0; j < n; ++j) c[i * ldc + j] = 0.0f;
     return;
   }
+  blocked_gemm<Tile>(ta, a, lda, bp, m, n, k, c, ldc);
+}
+
+// The one-call dW form of every build: pack op(B) into the calling thread's
+// arena, then run that build's prepacked kernel.
+template <detail::PackedGemmFn F64AccPacked>
+void f64acc_unpacked(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
+                     const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+                     std::int64_t ldc) {
+  if (m <= 0 || n <= 0) return;
   ScratchArena::Frame frame(ScratchArena::tls());
   float* bp = frame.alloc(gemm_packed_b_size(k, n));
   gemm_pack_b(tb, b, ldb, k, n, bp);
-  // Four rows of NR double lanes fill eight AVX registers; more would spill.
-  blocked_gemm<DoubleTile<V, 4>>(ta, a, lda, bp, m, n, k, c, ldc);
+  F64AccPacked(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
 // ---- per-ISA entry points ---------------------------------------------------
 // The default build is the baseline-x86-64 kernel with the historical 4x8
 // tile. The avx2 build widens the float tile to 8x8: one 256-bit register per
 // tile row, eight independent accumulator chains to hide the add latency.
-// The tile shape only changes which C elements share a call, never the
-// per-element fold, so both builds are bitwise identical.
+// The avx512 build keeps avx2's float kernel and gives the double tile eight
+// rows of one 512-bit accumulator each: a row's eight float products widen
+// with a single convert. The tile shape only changes which C elements share
+// a call, never the per-element fold, so every build is bitwise identical.
 
 void packed_default(Trans ta, const float* a, std::int64_t lda, const float* bp, std::int64_t m,
                     std::int64_t n, std::int64_t k, float* c, std::int64_t ldc) {
   packed_body<f32x4, kGemmMR>(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
-void f64acc_default(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-                    const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
-                    std::int64_t ldc) {
-  f64acc_body<f32x4>(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
+void f64acc_packed_default(Trans ta, const float* a, std::int64_t lda, const float* bp,
+                           std::int64_t m, std::int64_t n, std::int64_t k, float* c,
+                           std::int64_t ldc) {
+  f64acc_packed_body<DoubleTile<f32x4, f64x2, 4>>(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
 #if MLPERF_GEMM_HAVE_AVX2
@@ -234,18 +238,48 @@ MLPERF_GEMM_TARGET_AVX2 void packed_avx2(Trans ta, const float* a, std::int64_t 
   packed_body<f32x8, 8>(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
-MLPERF_GEMM_TARGET_AVX2 void f64acc_avx2(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                                         std::int64_t k, const float* a, std::int64_t lda,
-                                         const float* b, std::int64_t ldb, float* c,
-                                         std::int64_t ldc) {
-  f64acc_body<f32x8>(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
+// Four rows of NR double lanes fill eight 256-bit registers; more would spill.
+MLPERF_GEMM_TARGET_AVX2 void f64acc_packed_avx2(Trans ta, const float* a, std::int64_t lda,
+                                                const float* bp, std::int64_t m, std::int64_t n,
+                                                std::int64_t k, float* c, std::int64_t ldc) {
+  f64acc_packed_body<DoubleTile<f32x8, f64x4, 4>>(ta, a, lda, bp, m, n, k, c, ldc);
+}
+
+MLPERF_GEMM_TARGET_AVX512 void f64acc_packed_avx512(Trans ta, const float* a, std::int64_t lda,
+                                                    const float* bp, std::int64_t m,
+                                                    std::int64_t n, std::int64_t k, float* c,
+                                                    std::int64_t ldc) {
+  f64acc_packed_body<DoubleTile<f32x8, f64x8, 8>>(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
 bool cpu_has_avx2() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") != 0;
 }
+
+bool cpu_has_avx512() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512vl") != 0;
+}
 #endif
+
+// A full Trans::T panel from NR stored rows (row l at src + l*ldb): each
+// NR-column step of the rows is one tile, transposed in registers, so the rows
+// are read contiguously instead of gathered element by element.
+void pack_transposed_panel(const float* src, std::int64_t ldb, std::int64_t k, float* dst) {
+  float tile[NR][NR];
+  for (std::int64_t p0 = 0; p0 < k; p0 += NR) {
+    const std::int64_t nq = std::min(NR, k - p0);
+    for (std::int64_t l = 0; l < NR; ++l) {
+      if (nq == NR) {
+        std::memcpy(tile[l], src + l * ldb + p0, sizeof tile[l]);
+      } else {
+        for (std::int64_t e = 0; e < nq; ++e) tile[l][e] = src[l * ldb + p0 + e];
+      }
+    }
+    gemm_pack_b_tile_t(tile[0], nq, dst + p0 * NR);
+  }
+}
 
 // The dispatched variant: the first (widest) one the host can run, resolved
 // once on first use.
@@ -265,9 +299,13 @@ namespace detail {
 std::span<const GemmVariant> gemm_variants() {
   static const GemmVariant variants[] = {
 #if MLPERF_GEMM_HAVE_AVX2
-      {"avx2", 8, cpu_has_avx2(), &packed_avx2, &f64acc_avx2},
+      {"avx512", 8, cpu_has_avx512(), &packed_avx2, &f64acc_packed_avx512,
+       &f64acc_unpacked<&f64acc_packed_avx512>},
+      {"avx2", 8, cpu_has_avx2(), &packed_avx2, &f64acc_packed_avx2,
+       &f64acc_unpacked<&f64acc_packed_avx2>},
 #endif
-      {"default", kGemmMR, true, &packed_default, &f64acc_default},
+      {"default", kGemmMR, true, &packed_default, &f64acc_packed_default,
+       &f64acc_unpacked<&f64acc_packed_default>},
   };
   return variants;
 }
@@ -283,11 +321,20 @@ std::int64_t gemm_packed_b_size(std::int64_t k, std::int64_t n) {
 
 void gemm_pack_b(Trans tb, const float* b, std::int64_t ldb, std::int64_t k, std::int64_t n,
                  float* bp) {
-  const std::int64_t rs = tb == Trans::N ? ldb : 1;
-  const std::int64_t cs = tb == Trans::N ? 1 : ldb;
   for (std::int64_t j0 = 0; j0 < n; j0 += NR) {
     const std::int64_t nr = std::min(NR, n - j0);
     float* panel = bp + j0 * k;  // panels are k*NR floats each
+    if (nr == NR) {
+      if (tb == Trans::N) {
+        for (std::int64_t p = 0; p < k; ++p)
+          std::memcpy(panel + p * NR, b + p * ldb + j0, NR * sizeof(float));
+      } else {
+        pack_transposed_panel(b + j0 * ldb, ldb, k, panel);
+      }
+      continue;
+    }
+    const std::int64_t rs = tb == Trans::N ? ldb : 1;
+    const std::int64_t cs = tb == Trans::N ? 1 : ldb;
     for (std::int64_t p = 0; p < k; ++p) {
       float* dst = panel + p * NR;
       const float* src = b + p * rs + j0 * cs;
@@ -318,49 +365,16 @@ void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m, s
   gemm_accumulate(Trans::N, Trans::N, m, n, k, a, k, b, n, c, n);
 }
 
-void gemm_accumulate_ref(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
-                         std::int64_t n) {
-  // i-k-j loop order: unit-stride inner loop over both B and C rows. One
-  // accumulator per C element, k folded in ascending order — the numerics
-  // contract the packed kernel reproduces bit-for-bit.
-  constexpr std::int64_t kBlock = 64;
-  for (std::int64_t i0 = 0; i0 < m; i0 += kBlock) {
-    const std::int64_t i1 = std::min(i0 + kBlock, m);
-    for (std::int64_t k0 = 0; k0 < k; k0 += kBlock) {
-      const std::int64_t k1 = std::min(k0 + kBlock, k);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* crow = c + i * n;
-        for (std::int64_t kk = k0; kk < k1; ++kk) {
-          const float av = a[i * k + kk];
-          const float* brow = b + kk * n;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
 void gemm_f64acc(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
                  const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
                  std::int64_t ldc) {
   active_variant().f64acc(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
-void gemm_f64acc_ref(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-                     const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
-                     std::int64_t ldc) {
-  const std::int64_t ars = ta == Trans::N ? lda : 1;
-  const std::int64_t acs = ta == Trans::N ? 1 : lda;
-  const std::int64_t brs = tb == Trans::N ? ldb : 1;
-  const std::int64_t bcs = tb == Trans::N ? 1 : ldb;
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::int64_t p = 0; p < k; ++p)
-        acc += a[i * ars + p * acs] * b[p * brs + j * bcs];  // float product, double fold
-      c[i * ldc + j] = static_cast<float>(acc);
-    }
-  }
+void gemm_f64acc_packed(Trans ta, const float* a, std::int64_t lda, const float* bp,
+                        std::int64_t m, std::int64_t n, std::int64_t k, float* c,
+                        std::int64_t ldc) {
+  active_variant().f64acc_packed(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
 }  // namespace mlperf::tensor

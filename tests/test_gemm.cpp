@@ -23,6 +23,7 @@
 #include "nn/functional.h"
 #include "nn/layers.h"
 #include "parallel/parallel_for.h"
+#include "reference/gemm_ref.h"
 #include "tensor/gemm.h"
 #include "tensor/scratch.h"
 #include "tensor/tensor.h"
@@ -482,7 +483,11 @@ TEST_F(GemmTest, DispatchPicksFirstRunnableVariant) {
     if (v.host_supported && !expected) expected = v.isa;
   EXPECT_STREQ(expected, tensor::gemm_isa());
 #if defined(__x86_64__)
-  EXPECT_STREQ("avx2", variants.front().isa) << "x86-64 builds must carry the avx2 kernels";
+  // x86-64 builds carry exactly these kernels, widest first.
+  ASSERT_EQ(3u, variants.size());
+  EXPECT_STREQ("avx512", variants[0].isa);
+  EXPECT_STREQ("avx2", variants[1].isa);
+  EXPECT_STREQ("default", variants[2].isa);
 #endif
 }
 
@@ -546,6 +551,83 @@ TEST_F(GemmTest, EveryVariantF64AccMatchesRefBitwise) {
           expect_bitwise_equal(want, got, "variant f64acc vs ref");
         }
       }
+    }
+  }
+}
+
+// ---- gemm_f64acc_packed: dW on ready-packed panels ---------------------------
+//
+// conv2d's dW runs on Trans::T panels its lowering wrote (or the pack cache
+// kept), through gemm_f64acc_packed. Every build's prepacked double kernel,
+// and the dispatched entry point, must equal the naive double loop bit for
+// bit in every A orientation, on panels packed from either B orientation,
+// whole or split by rows across 1/2/4/8 threads.
+
+TEST_F(GemmTest, EveryVariantF64AccPackedMatchesRefBitwise) {
+  struct Kernel {
+    const char* isa;
+    tensor::detail::PackedGemmFn fn;
+  };
+  std::vector<Kernel> kernels = {{"dispatched", &tensor::gemm_f64acc_packed}};
+  for (const auto& v : tensor::detail::gemm_variants()) {
+    if (v.host_supported) {
+      kernels.push_back({v.isa, v.f64acc_packed});
+    } else {
+      std::printf("[ SKIPPED  ] gemm variant %s: this CPU cannot run it\n", v.isa);
+    }
+  }
+  for (const Kernel& kern : kernels) {
+    for (const auto& s : kShapes) {
+      Rng rng(122);
+      const Operands o = make_operands(s, rng);
+      Tensor want({s.m, s.n}, 9.0f);
+      tensor::gemm_f64acc_ref(Trans::N, Trans::N, s.m, s.n, s.k, o.a.data(), ld(o.a),
+                              o.b.data(), ld(o.b), want.data(), s.n);
+      std::vector<float> bp(static_cast<std::size_t>(tensor::gemm_packed_b_size(s.k, s.n)));
+      for (const Orientation& r : kOrientations) {
+        const Tensor& sa = stored(o.a, o.at, r.ta);
+        const Tensor& sb = stored(o.b, o.bt, r.tb);
+        tensor::gemm_pack_b(r.tb, sb.data(), ld(sb), s.k, s.n, bp.data());
+        for (int threads : {1, 2, 4, 8}) {
+          Tensor got({s.m, s.n}, -1.25f);  // stale C pins the overwrite contract
+          for_row_blocks(threads, s.m, [&](std::int64_t b, std::int64_t e) {
+            const float* a0 = sa.data() + (r.ta == Trans::N ? b * ld(sa) : b);
+            kern.fn(r.ta, a0, ld(sa), bp.data(), e - b, s.n, s.k, got.data() + b * s.n, s.n);
+          });
+          SCOPED_TRACE(::testing::Message() << kern.isa << " " << r.name << " threads="
+                                            << threads << " m=" << s.m << " k=" << s.k
+                                            << " n=" << s.n);
+          expect_bitwise_equal(want, got, "f64acc_packed vs ref");
+        }
+      }
+    }
+  }
+}
+
+// gemm_pack_b's layout, element by element: panel j/NR holds op(B)[p][j] at
+// [p][j % NR], zero past n. The Trans::T path transposes whole panels in
+// registers, so widths at, below and across NR and depths off the 4-column
+// step are covered.
+TEST_F(GemmTest, PackBMatchesPanelLayoutDefinition) {
+  constexpr std::int64_t NR = tensor::kGemmNR;
+  Rng rng(123);
+  for (const auto& s : kShapes) {
+    const Operands o = make_operands(s, rng);
+    for (const Orientation& r : kOrientations) {
+      if (r.ta != Trans::N) continue;  // only B's orientation matters here
+      const Tensor& sb = stored(o.b, o.bt, r.tb);
+      std::vector<float> got(static_cast<std::size_t>(tensor::gemm_packed_b_size(s.k, s.n)),
+                             -5.0f);
+      tensor::gemm_pack_b(r.tb, sb.data(), ld(sb), s.k, s.n, got.data());
+      for (std::int64_t j0 = 0; j0 < s.n; j0 += NR)
+        for (std::int64_t p = 0; p < s.k; ++p)
+          for (std::int64_t l = 0; l < NR; ++l) {
+            const std::int64_t j = j0 + l;
+            const float want = j >= s.n ? 0.0f : o.b[p * ld(o.b) + j];
+            const float have = got[static_cast<std::size_t>(j0 * s.k + p * NR + l)];
+            ASSERT_EQ(0, std::memcmp(&want, &have, sizeof(float)))
+                << r.name << " k=" << s.k << " n=" << s.n << " p=" << p << " j=" << j;
+          }
     }
   }
 }

@@ -11,6 +11,8 @@
 #include "nn/functional.h"
 #include "nn/serialize.h"
 #include "parallel/parallel_for.h"
+#include "reference/conv_ref.h"
+#include "tensor/gemm.h"
 
 namespace mlperf::nn {
 namespace {
@@ -238,6 +240,86 @@ TEST(Col2im, BitwiseEqualToBranchyReference) {
                              static_cast<std::size_t>(want.numel()) * sizeof(float)))
         << "c=" << lc.c << " h=" << lc.h << " w=" << lc.w << " k=" << lc.kh << "x" << lc.kw
         << " stride=" << lc.stride << " pad=" << lc.pad;
+  }
+}
+
+// ---- panels lowered straight from the image ---------------------------------
+//
+// conv2d never builds the patch matrix: lower_conv_panels writes the forward
+// GEMM's Trans::N panels and the dW GEMM's Trans::T panels from the sample.
+// Both must be exactly what packing the reference im2col matrix would give.
+
+TEST(ConvLowering, PanelsBitwiseEqualToPackedIm2col) {
+  std::vector<LoweringCase> cases = lowering_cases();
+  cases.push_back({3, 16, 16, 3, 3, 1, 1});  // ResNet stem: 27 rows, padded to 32
+  cases.push_back({16, 9, 9, 3, 3, 1, 1});   // MiniGo tower: 81 columns, a 9x9 board
+  cases.push_back({8, 16, 16, 1, 1, 1, 0});  // bottleneck 1x1: rows are the planes
+  cases.push_back({16, 8, 8, 1, 1, 2, 0});   // strided 1x1 projection
+  cases.push_back({5, 11, 7, 2, 4, 3, 2});   // rectangular kernel, stride 3, pad 2
+  cases.push_back({9, 6, 5, 3, 1, 1, 0});    // 27 rows from a 3x1 kernel
+  Rng rng(132);
+  for (const LoweringCase& lc : cases) {
+    const detail::ConvDims d = lowering_dims(lc);
+    ASSERT_GT(d.oh, 0);
+    ASSERT_GT(d.ow, 0);
+    const std::int64_t rows = lc.c * lc.kh * lc.kw, cols = d.oh * d.ow;
+    const Tensor x = Tensor::randn({lc.c, lc.h, lc.w}, rng);
+    std::vector<float> patch(static_cast<std::size_t>(rows * cols));
+    detail::im2col(x.data(), d, lc.stride, lc.pad, patch.data());
+    const auto n_size = static_cast<std::size_t>(tensor::gemm_packed_b_size(rows, cols));
+    const auto t_size = static_cast<std::size_t>(tensor::gemm_packed_b_size(cols, rows));
+    std::vector<float> want_n(n_size), want_t(t_size);
+    tensor::gemm_pack_b(tensor::Trans::N, patch.data(), cols, rows, cols, want_n.data());
+    tensor::gemm_pack_b(tensor::Trans::T, patch.data(), cols, cols, rows, want_t.data());
+    // Stale contents pin that every entry, padding lanes included, is written;
+    // each output alone (the other null) is what forward and dW each ask for.
+    std::vector<float> both_n(n_size, 7.0f), both_t(t_size, -3.0f);
+    std::vector<float> only_n(n_size, -9.0f), only_t(t_size, 5.0f);
+    detail::lower_conv_panels(x.data(), d, lc.stride, lc.pad, both_n.data(), both_t.data());
+    detail::lower_conv_panels(x.data(), d, lc.stride, lc.pad, only_n.data(), nullptr);
+    detail::lower_conv_panels(x.data(), d, lc.stride, lc.pad, nullptr, only_t.data());
+    SCOPED_TRACE(::testing::Message() << "c=" << lc.c << " h=" << lc.h << " w=" << lc.w
+                                      << " k=" << lc.kh << "x" << lc.kw
+                                      << " stride=" << lc.stride << " pad=" << lc.pad);
+    EXPECT_EQ(0, std::memcmp(want_n.data(), both_n.data(), n_size * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(want_t.data(), both_t.data(), t_size * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(want_n.data(), only_n.data(), n_size * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(want_t.data(), only_t.data(), t_size * sizeof(float)));
+  }
+}
+
+// A 1x1, stride-1, unpadded conv folds W^T g_s straight into dX instead of
+// into zeroed dcols followed by col2im. Pinned against that path (kept in
+// tests/reference) at shapes off every tile size, at 1/2/4/8 threads; the
+// strided and padded 1x1 convs still take the general path and are checked
+// the same way.
+TEST(Conv2d, PointwiseInputGradMatchesCol2imPath) {
+  struct Case {
+    std::int64_t n, c, o, hw, stride, pad;
+  };
+  const Case cases[] = {{3, 5, 7, 6, 1, 0}, {2, 16, 8, 9, 1, 0}, {1, 1, 3, 4, 1, 0},
+                        {4, 9, 17, 5, 1, 0}, {2, 6, 4, 7, 2, 0}, {2, 3, 5, 4, 1, 1}};
+  Rng rng(133);
+  for (const Case& cc : cases) {
+    const Tensor x = Tensor::randn({cc.n, cc.c, cc.hw, cc.hw}, rng);
+    const Tensor w = Tensor::randn({cc.o, cc.c, 1, 1}, rng);
+    const detail::ConvDims d{cc.n, cc.c, cc.hw, cc.hw, cc.o, 1, 1,
+                             (cc.hw + 2 * cc.pad - 1) / cc.stride + 1,
+                             (cc.hw + 2 * cc.pad - 1) / cc.stride + 1};
+    const Tensor seed = Tensor::randn({cc.n, cc.o, d.oh, d.ow}, rng);
+    Tensor want(x.shape());
+    detail::conv2d_dx_via_col2im(w.data(), seed.data(), d, cc.stride, cc.pad, want.data());
+    for (int threads : {1, 2, 4, 8}) {
+      parallel::set_num_threads(threads);
+      Variable vx(x, true);
+      Variable y = conv2d(vx, Variable(w, true), Variable(), cc.stride, cc.pad);
+      y.backward(seed);
+      EXPECT_EQ(0, std::memcmp(want.data(), vx.grad().data(),
+                               static_cast<std::size_t>(want.numel()) * sizeof(float)))
+          << "n=" << cc.n << " c=" << cc.c << " o=" << cc.o << " hw=" << cc.hw
+          << " stride=" << cc.stride << " pad=" << cc.pad << " threads=" << threads;
+    }
+    parallel::set_num_threads(1);
   }
 }
 
