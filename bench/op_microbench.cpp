@@ -19,6 +19,7 @@
 #include "checkpoint/format.h"
 #include "checkpoint/state.h"
 #include "harness/reference.h"
+#include "models/minigo.h"
 #include "models/ncf.h"
 #include "models/resnet.h"
 #include "models/transformer.h"
@@ -428,6 +429,48 @@ static void BM_LstmCell(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LstmCell);
+
+// --- Go rules (MiniGo self-play) ---
+// Eight mid-game 9x9 positions: 24-31 random legal stones (passes skipped)
+// from an empty board, the stretch MiniGo's 36-move games spend most time in.
+static std::vector<go::Board> midgame_boards() {
+  std::vector<go::Board> boards;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    go::Board b(9, 5.5f);
+    for (std::uint64_t m = 0; m < 23 + seed; ++m) {
+      std::vector<go::Move> legal = b.legal_moves();
+      legal.pop_back();  // pass
+      b.play(legal[static_cast<std::size_t>(rng.randint(legal.size()))]);
+    }
+    boards.push_back(b);
+  }
+  return boards;
+}
+
+static void BM_GoLegalMoves(benchmark::State& state) {
+  const std::vector<go::Board> boards = midgame_boards();
+  for (auto _ : state)
+    for (const go::Board& b : boards) {
+      std::vector<go::Move> moves = b.legal_moves();
+      benchmark::DoNotOptimize(moves.data());
+    }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(boards.size()));
+}
+BENCHMARK(BM_GoLegalMoves);
+
+// One teacher search as MiniGo's reference games run it: uniform priors and
+// the Tromp-Taylor value, 32 simulations, so no network time is included.
+static void BM_MctsSearchHeuristic(benchmark::State& state) {
+  const go::Board root = midgame_boards().front();
+  models::Mcts mcts({.simulations = 32, .dirichlet_weight = 0.1f}, models::heuristic_evaluator());
+  for (auto _ : state) {
+    Rng rng(5);
+    std::vector<float> pi = mcts.search(root, rng);
+    benchmark::DoNotOptimize(pi.data());
+  }
+}
+BENCHMARK(BM_MctsSearchHeuristic);
 
 // --- End-to-end train steps (BENCH_trainstep.json regenerates from these) ---
 // One complete training step per iteration — zero_grad, forward, loss,

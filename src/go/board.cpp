@@ -1,8 +1,6 @@
 #include "go/board.h"
 
-#include <array>
 #include <sstream>
-#include <stdexcept>
 
 #include "tensor/rng.h"
 
@@ -11,11 +9,9 @@ namespace mlperf::go {
 namespace {
 
 // Zobrist table: [point][color-1] for up to 19x19; generated deterministically.
-constexpr std::int64_t kMaxPoints = 19 * 19;
-
-const std::array<std::array<std::uint64_t, 2>, kMaxPoints>& zobrist_table() {
+const std::array<std::array<std::uint64_t, 2>, Board::kMaxPoints>& zobrist_table() {
   static const auto table = [] {
-    std::array<std::array<std::uint64_t, 2>, kMaxPoints> t{};
+    std::array<std::array<std::uint64_t, 2>, Board::kMaxPoints> t{};
     tensor::Rng rng(0x60BA9D5EED5EEDULL);
     for (auto& row : t)
       for (auto& v : row) v = rng.next_u64();
@@ -24,162 +20,218 @@ const std::array<std::array<std::uint64_t, 2>, kMaxPoints>& zobrist_table() {
   return table;
 }
 
+std::uint64_t zobrist(std::int64_t p, Stone s) {
+  return zobrist_table()[static_cast<std::size_t>(p)][static_cast<std::size_t>(s) - 1];
+}
+
 }  // namespace
 
+struct Board::Adjacency {
+  std::array<std::array<std::int16_t, 4>, kMaxPoints> nb{};  // up, down, left, right
+  std::array<std::uint8_t, kMaxPoints> count{};
+};
+
+const Board::Adjacency& Board::adjacency(std::int64_t size) {
+  static const auto tables = [] {
+    std::array<Adjacency, kMaxSize + 1> t{};
+    for (std::int64_t n = 2; n <= kMaxSize; ++n) {
+      Adjacency& a = t[static_cast<std::size_t>(n)];
+      for (std::int64_t p = 0; p < n * n; ++p) {
+        const std::int64_t r = p / n, c = p % n;
+        const auto add = [&](std::int64_t q) {
+          a.nb[static_cast<std::size_t>(p)][a.count[static_cast<std::size_t>(p)]++] =
+              static_cast<std::int16_t>(q);
+        };
+        if (r > 0) add(p - n);
+        if (r < n - 1) add(p + n);
+        if (c > 0) add(p - 1);
+        if (c < n - 1) add(p + 1);
+      }
+    }
+    return t;
+  }();
+  return tables[static_cast<std::size_t>(size)];
+}
+
 Board::Board(std::int64_t size, float komi) : size_(size), komi_(komi) {
-  if (size < 2 || size > 19) throw std::invalid_argument("Board: size must be in [2, 19]");
-  grid_.assign(static_cast<std::size_t>(num_points()), Stone::kEmpty);
-  history_.insert(hash_);
+  if (size < 2 || size > kMaxSize) throw std::invalid_argument("Board: size must be in [2, 19]");
+  adj_ = &adjacency(size);
+}
+
+bool Board::seen_before(std::uint64_t h) const {
+  if (h == 0) return true;
+  const std::size_t mask = history_.size() - 1;
+  for (std::size_t i = h & mask; history_[i] != 0; i = (i + 1) & mask)
+    if (history_[i] == h) return true;
+  return false;
+}
+
+void Board::remember(std::uint64_t h) {
+  const auto place = [](std::vector<std::uint64_t>& table, std::uint64_t v) {
+    const std::size_t mask = table.size() - 1;
+    std::size_t i = v & mask;
+    while (table[i] != 0) i = (i + 1) & mask;
+    table[i] = v;
+  };
+  if (2 * (history_count_ + 1) > history_.size()) {
+    std::vector<std::uint64_t> grown(2 * history_.size(), 0);
+    for (std::uint64_t v : history_)
+      if (v != 0) place(grown, v);
+    history_.swap(grown);
+  }
+  place(history_, h);
+  ++history_count_;
 }
 
 std::vector<std::int64_t> Board::neighbors(std::int64_t p) const {
-  const std::int64_t r = p / size_, c = p % size_;
-  std::vector<std::int64_t> out;
-  out.reserve(4);
-  if (r > 0) out.push_back(p - size_);
-  if (r < size_ - 1) out.push_back(p + size_);
-  if (c > 0) out.push_back(p - 1);
-  if (c < size_ - 1) out.push_back(p + 1);
-  return out;
+  const auto& nb = adj_->nb[static_cast<std::size_t>(p)];
+  return {nb.begin(), nb.begin() + adj_->count[static_cast<std::size_t>(p)]};
 }
 
-Board::GroupInfo Board::group_at(std::int64_t p) const {
-  GroupInfo info;
-  const Stone color = at(p);
-  if (color == Stone::kEmpty) return info;
-  std::vector<bool> visited(static_cast<std::size_t>(num_points()), false);
-  std::vector<bool> lib_seen(static_cast<std::size_t>(num_points()), false);
-  std::vector<std::int64_t> stack{p};
-  visited[static_cast<std::size_t>(p)] = true;
-  while (!stack.empty()) {
-    const std::int64_t q = stack.back();
-    stack.pop_back();
-    info.stones.push_back(q);
-    for (std::int64_t nb : neighbors(q)) {
-      const Stone s = at(nb);
-      if (s == color && !visited[static_cast<std::size_t>(nb)]) {
-        visited[static_cast<std::size_t>(nb)] = true;
-        stack.push_back(nb);
-      } else if (s == Stone::kEmpty && !lib_seen[static_cast<std::size_t>(nb)]) {
-        lib_seen[static_cast<std::size_t>(nb)] = true;
-        ++info.liberties;
+template <class OnBorder>
+bool Board::flood(std::int64_t q, Marks& seen, PointList& points, OnBorder&& on_border) const {
+  const Stone color = grid_[static_cast<std::size_t>(q)];
+  seen[static_cast<std::size_t>(q)] = true;
+  std::int32_t i = points.n;
+  points.p[static_cast<std::size_t>(points.n++)] = static_cast<std::int16_t>(q);
+  for (; i < points.n; ++i) {
+    const auto s = static_cast<std::size_t>(points.p[static_cast<std::size_t>(i)]);
+    for (std::uint8_t k = 0; k < adj_->count[s]; ++k) {
+      const std::int16_t r = adj_->nb[s][k];
+      const Stone t = grid_[static_cast<std::size_t>(r)];
+      if (t != color) {
+        if (on_border(r, t)) return true;
+      } else if (!seen[static_cast<std::size_t>(r)]) {
+        seen[static_cast<std::size_t>(r)] = true;
+        points.p[static_cast<std::size_t>(points.n++)] = r;
       }
     }
   }
-  return info;
+  return false;
 }
 
-std::int64_t Board::liberties(std::int64_t p) const { return group_at(p).liberties; }
-
-void Board::set_stone(std::int64_t p, Stone s) {
-  const Stone old = grid_[static_cast<std::size_t>(p)];
-  if (old != Stone::kEmpty)
-    hash_ ^= zobrist_table()[static_cast<std::size_t>(p)][static_cast<std::size_t>(old) - 1];
-  if (s != Stone::kEmpty)
-    hash_ ^= zobrist_table()[static_cast<std::size_t>(p)][static_cast<std::size_t>(s) - 1];
-  grid_[static_cast<std::size_t>(p)] = s;
+std::int64_t Board::liberties(std::int64_t p) const {
+  if (at(p) == Stone::kEmpty) return 0;
+  Marks seen, counted;
+  PointList stones;
+  std::int64_t n = 0;
+  flood(p, seen, stones, [&](std::int64_t q, Stone s) {
+    if (s == Stone::kEmpty && !counted[static_cast<std::size_t>(q)]) {
+      counted[static_cast<std::size_t>(q)] = true;
+      ++n;
+    }
+    return false;
+  });
+  return n;
 }
 
-void Board::remove_group(const std::vector<std::int64_t>& stones) {
-  for (std::int64_t p : stones) set_stone(p, Stone::kEmpty);
-}
-
-std::optional<std::uint64_t> Board::hash_after(Move m) const {
+std::optional<std::uint64_t> Board::hash_after(Move m, PointList& captured) const {
+  captured.n = 0;
+  if (game_over()) return std::nullopt;
   if (m.is_pass()) return hash_;
-  // Simulate on a scratch copy of the grid (cheap at 9x9).
-  Board scratch = *this;
-  scratch.history_.clear();  // avoid superko recursion in the scratch
-  const Stone me = scratch.to_play_;
-  scratch.set_stone(m.point, me);
-  const Stone opp = opponent(me);
-  for (std::int64_t nb : scratch.neighbors(m.point)) {
-    if (scratch.at(nb) == opp) {
-      const GroupInfo g = scratch.group_at(nb);
-      if (g.liberties == 0) scratch.remove_group(g.stones);
+  const std::int64_t p = m.point;
+  if (p < 0 || p >= num_points() || grid_[static_cast<std::size_t>(p)] != Stone::kEmpty)
+    return std::nullopt;
+  const Stone me = to_play_, opp = opponent(me);
+  const auto& nb = adj_->nb[static_cast<std::size_t>(p)];
+  const std::uint8_t degree = adj_->count[static_cast<std::size_t>(p)];
+  const auto liberty_besides_p = [p](std::int64_t q, Stone s) {
+    return s == Stone::kEmpty && q != p;
+  };
+  std::uint64_t h = hash_ ^ zobrist(p, me);
+  bool breathes = false;  // the new stone's group keeps a liberty
+  Marks seen;
+  // An opponent group whose only liberty is p is captured. Its stones stay
+  // marked, so a group touching p twice is XORed out once.
+  for (std::uint8_t k = 0; k < degree; ++k) {
+    const std::int64_t q = nb[k];
+    const Stone s = grid_[static_cast<std::size_t>(q)];
+    if (s == Stone::kEmpty) breathes = true;
+    if (s != opp || seen[static_cast<std::size_t>(q)]) continue;
+    const std::int32_t first = captured.n;
+    if (flood(q, seen, captured, liberty_besides_p)) {
+      // It survives. Unmark the partial fill: a later neighbour in the same
+      // group must scan it afresh to reach the liberty.
+      for (std::int32_t i = first; i < captured.n; ++i)
+        seen[static_cast<std::size_t>(captured.p[static_cast<std::size_t>(i)])] = false;
+      captured.n = first;
+    } else {
+      for (std::int32_t i = first; i < captured.n; ++i)
+        h ^= zobrist(captured.p[static_cast<std::size_t>(i)], opp);
+      breathes = true;
     }
   }
-  if (scratch.group_at(m.point).liberties == 0) return std::nullopt;  // suicide
-  return scratch.hash_;
+  // With no empty neighbour and no capture, the stone lives only through a
+  // friendly group that has a liberty other than p.
+  if (!breathes) {
+    PointList friends;
+    for (std::uint8_t k = 0; k < degree && !breathes; ++k) {
+      const std::int64_t q = nb[k];
+      breathes = grid_[static_cast<std::size_t>(q)] == me && !seen[static_cast<std::size_t>(q)] &&
+                 flood(q, seen, friends, liberty_besides_p);
+    }
+  }
+  if (!breathes || seen_before(h)) return std::nullopt;  // suicide, positional superko
+  return h;
 }
 
 bool Board::is_legal(Move m) const {
-  if (game_over()) return false;
-  if (m.is_pass()) return true;
-  if (m.point < 0 || m.point >= num_points()) return false;
-  if (at(m.point) != Stone::kEmpty) return false;
-  const auto h = hash_after(m);
-  if (!h) return false;                  // suicide
-  return history_.count(*h) == 0;        // positional superko
+  PointList captured;
+  return hash_after(m, captured).has_value();
 }
 
 std::vector<Move> Board::legal_moves() const {
   std::vector<Move> out;
   if (game_over()) return out;
-  for (std::int64_t p = 0; p < num_points(); ++p) {
-    const Move m = Move::at(p);
-    if (is_legal(m)) out.push_back(m);
-  }
+  PointList captured;
+  for (std::int64_t p = 0; p < num_points(); ++p)
+    if (hash_after(Move::at(p), captured)) out.push_back(Move::at(p));
   out.push_back(Move::pass());
   return out;
 }
 
 void Board::play(Move m) {
-  if (!is_legal(m)) throw std::invalid_argument("Board::play: illegal move");
+  PointList captured;
+  const auto h = hash_after(m, captured);
+  if (!h) throw std::invalid_argument("Board::play: illegal move");
   if (m.is_pass()) {
     ++consecutive_passes_;
   } else {
     consecutive_passes_ = 0;
-    const Stone me = to_play_;
-    set_stone(m.point, me);
-    const Stone opp = opponent(me);
-    for (std::int64_t nb : neighbors(m.point)) {
-      if (at(nb) == opp) {
-        const GroupInfo g = group_at(nb);
-        if (g.liberties == 0) remove_group(g.stones);
-      }
-    }
+    grid_[static_cast<std::size_t>(m.point)] = to_play_;
+    for (std::int32_t i = 0; i < captured.n; ++i)
+      grid_[static_cast<std::size_t>(captured.p[static_cast<std::size_t>(i)])] = Stone::kEmpty;
+    hash_ = *h;
+    remember(hash_);
   }
   to_play_ = opponent(to_play_);
   ++move_count_;
-  history_.insert(hash_);
 }
 
 float Board::tromp_taylor_score() const {
   // Area scoring: stones + empty regions bordered exclusively by one colour.
-  float black = 0.0f, white = 0.0f;
-  std::vector<bool> visited(static_cast<std::size_t>(num_points()), false);
+  std::int64_t black = 0, white = 0;
+  Marks seen;
+  PointList region;
   for (std::int64_t p = 0; p < num_points(); ++p) {
-    const Stone s = at(p);
+    const Stone s = grid_[static_cast<std::size_t>(p)];
     if (s == Stone::kBlack) {
-      black += 1.0f;
+      ++black;
     } else if (s == Stone::kWhite) {
-      white += 1.0f;
-    } else if (!visited[static_cast<std::size_t>(p)]) {
-      // Flood-fill the empty region; find which colours border it.
-      std::vector<std::int64_t> region, stack{p};
-      visited[static_cast<std::size_t>(p)] = true;
+      ++white;
+    } else if (!seen[static_cast<std::size_t>(p)]) {
       bool sees_black = false, sees_white = false;
-      while (!stack.empty()) {
-        const std::int64_t q = stack.back();
-        stack.pop_back();
-        region.push_back(q);
-        for (std::int64_t nb : neighbors(q)) {
-          const Stone ns = at(nb);
-          if (ns == Stone::kEmpty && !visited[static_cast<std::size_t>(nb)]) {
-            visited[static_cast<std::size_t>(nb)] = true;
-            stack.push_back(nb);
-          } else if (ns == Stone::kBlack) {
-            sees_black = true;
-          } else if (ns == Stone::kWhite) {
-            sees_white = true;
-          }
-        }
-      }
-      if (sees_black && !sees_white) black += static_cast<float>(region.size());
-      if (sees_white && !sees_black) white += static_cast<float>(region.size());
+      region.n = 0;
+      flood(p, seen, region, [&](std::int64_t, Stone t) {
+        (t == Stone::kBlack ? sees_black : sees_white) = true;
+        return false;
+      });
+      if (sees_black && !sees_white) black += region.n;
+      if (sees_white && !sees_black) white += region.n;
     }
   }
-  return black - white - komi_;
+  // At most 361 points a side, so the counts convert to float exactly.
+  return static_cast<float>(black) - static_cast<float>(white) - komi_;
 }
 
 Stone Board::winner() const {

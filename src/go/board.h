@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
+#include <bitset>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace mlperf::go {
@@ -29,15 +31,27 @@ struct Move {
 /// Full Go rules on an N×N board (default 9×9, the paper's MiniGo board):
 /// captures, suicide prohibition, positional superko (via Zobrist hashing of
 /// all previous positions), two-pass game end, and Tromp-Taylor area scoring.
+///
+/// A Board owns no node-based container: the grid is inline and the
+/// position history is one flat hash table, so copying a Board (once per
+/// level of an MCTS descent) is a memcpy plus one allocation. Legality checks
+/// never copy it: captures and suicide are read off the neighbouring
+/// groups, and the resulting hash is XORed from the captured stones.
 class Board {
  public:
+  static constexpr std::int64_t kMaxSize = 19;
+  static constexpr std::int64_t kMaxPoints = kMaxSize * kMaxSize;
+
   explicit Board(std::int64_t size = 9, float komi = 5.5f);
 
   std::int64_t size() const { return size_; }
   std::int64_t num_points() const { return size_ * size_; }
   float komi() const { return komi_; }
   Stone to_play() const { return to_play_; }
-  Stone at(std::int64_t p) const { return grid_.at(static_cast<std::size_t>(p)); }
+  Stone at(std::int64_t p) const {
+    if (p < 0 || p >= num_points()) throw std::out_of_range("Board::at: point off the board");
+    return grid_[static_cast<std::size_t>(p)];
+  }
   Stone at(std::int64_t row, std::int64_t col) const { return at(row * size_ + col); }
   std::int64_t move_count() const { return move_count_; }
   bool game_over() const { return consecutive_passes_ >= 2; }
@@ -71,24 +85,44 @@ class Board {
   std::string to_string() const;
 
  private:
-  struct GroupInfo {
-    std::vector<std::int64_t> stones;
-    std::int64_t liberties = 0;
+  struct Adjacency;  // neighbour lists of every point, one shared table per size
+  /// Points of one flood fill, in visiting order; doubles as its worklist.
+  struct PointList {
+    std::array<std::int16_t, kMaxPoints> p;
+    std::int32_t n = 0;
   };
-  GroupInfo group_at(std::int64_t p) const;
-  void remove_group(const std::vector<std::int64_t>& stones);
-  void set_stone(std::int64_t p, Stone s);
-  /// Hash after hypothetically playing m (for superko); nullopt if suicide.
-  std::optional<std::uint64_t> hash_after(Move m) const;
+  using Marks = std::bitset<kMaxPoints>;
+
+  static const Adjacency& adjacency(std::int64_t size);
+  /// Flood-fills the group (or empty region) holding q into `points`,
+  /// marking it in `seen`. Calls on_border(point, stone) for every
+  /// neighbour of another colour, repeats included, and stops early,
+  /// returning true, once that returns true.
+  template <class OnBorder>
+  bool flood(std::int64_t q, Marks& seen, PointList& points, OnBorder&& on_border) const;
+  /// Position hash after the legal move m, or nullopt if m is illegal
+  /// (occupied, off the board, suicide, superko, or the game is over).
+  /// `captured` receives the stones m captures. Reads the board only.
+  std::optional<std::uint64_t> hash_after(Move m, PointList& captured) const;
+  /// Positional superko's memory: has hash h occurred in this game?
+  bool seen_before(std::uint64_t h) const;
+  /// Records an unseen, nonzero position hash.
+  void remember(std::uint64_t h);
 
   std::int64_t size_;
   float komi_;
-  std::vector<Stone> grid_;
+  const Adjacency* adj_ = nullptr;
   Stone to_play_ = Stone::kBlack;
   std::int64_t consecutive_passes_ = 0;
   std::int64_t move_count_ = 0;
   std::uint64_t hash_ = 0;
-  std::unordered_set<std::uint64_t> history_;  // positions seen (superko)
+  std::array<Stone, kMaxPoints> grid_{};
+  /// Every position of the game but the empty board, as an open-addressed
+  /// set of Zobrist hashes: linear probing over a power-of-two table kept
+  /// at most half full, 0 marking a free slot. Hash 0 is the empty board,
+  /// where every game starts.
+  std::vector<std::uint64_t> history_ = std::vector<std::uint64_t>(64, 0);
+  std::size_t history_count_ = 0;
 };
 
 /// A finished or in-progress game record: the move sequence from an empty

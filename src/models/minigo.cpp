@@ -163,14 +163,16 @@ float Mcts::simulate(Node& node, const Board& board, tensor::Rng& rng) {
 
 std::vector<float> Mcts::search(const Board& root, tensor::Rng& rng) {
   Node node;
-  // Expand the root once, then optionally mix Dirichlet noise into priors.
+  // Expand the root once, then optionally mix exploration noise into priors.
   simulate(node, root, rng);
   if (config_.dirichlet_weight > 0.0f && node.moves.size() > 1) {
-    // Gamma(alpha) draws normalized -> Dirichlet.
+    // Not Dirichlet noise: u^(1/alpha) with u uniform is a Beta(alpha, 1)
+    // draw (only the alpha < 1 boost factor of Marsaglia-Tsang's Gamma(alpha)
+    // sampler, without its Gamma(alpha + 1) draw), normalized. Every trained
+    // MiniGo bit depends on this draw, so it stays; see DESIGN.md.
     std::vector<float> noise(node.priors.size());
     float total = 0.0f;
     for (auto& x : noise) {
-      // Marsaglia-Tsang needs alpha >= 1; use the boost for alpha < 1.
       const float u = static_cast<float>(rng.uniform()) + 1e-9f;
       const float g = static_cast<float>(std::pow(u, 1.0 / config_.dirichlet_alpha));
       x = g;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
+#include "models/minigo.h"
+#include "reference/go_ref.h"
 #include "tensor/rng.h"
 
 namespace mlperf::go {
@@ -245,6 +250,254 @@ TEST_P(RandomPlayout, CompletesWithoutRuleViolations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPlayout, ::testing::Values(1, 2, 3, 4, 5));
+
+// ---- equivalence with the copy-based rules (tests/reference/go_ref) ---------
+
+std::vector<std::int64_t> points_of(const std::vector<Move>& moves) {
+  std::vector<std::int64_t> out;
+  for (const Move& m : moves) out.push_back(m.point);
+  return out;
+}
+
+// What the corpus exercised, so a corpus that never captures or never meets
+// an illegal empty point cannot pass silently.
+struct Coverage {
+  std::int64_t positions = 0;
+  std::int64_t captures = 0;        // moves that removed stones
+  std::int64_t illegal_empty = 0;   // (position, empty point) pairs ruled out
+  std::int64_t superko_empty = 0;   // ... of which the point had an empty neighbour
+};
+
+std::int64_t stone_count(const Board& b) {
+  std::int64_t n = 0;
+  for (std::int64_t p = 0; p < b.num_points(); ++p) n += b.at(p) != Stone::kEmpty;
+  return n;
+}
+
+// Every query the rules answer, compared position by position.
+void expect_same_rules(const Board& b, const RefBoard& ref, Coverage& cov) {
+  ++cov.positions;
+  ASSERT_EQ(b.position_hash(), ref.position_hash()) << b.to_string();
+  ASSERT_EQ(points_of(b.legal_moves()), points_of(ref.legal_moves())) << b.to_string();
+  ASSERT_EQ(b.is_legal(Move::pass()), ref.is_legal(Move::pass()));
+  for (std::int64_t p = 0; p < b.num_points(); ++p) {
+    ASSERT_EQ(b.at(p), ref.at(p)) << "point " << p;
+    ASSERT_EQ(b.is_legal(Move::at(p)), ref.is_legal(Move::at(p)))
+        << "point " << p << "\n" << b.to_string();
+    if (b.at(p) != Stone::kEmpty) {
+      ASSERT_EQ(b.liberties(p), ref.liberties(p)) << "point " << p << "\n" << b.to_string();
+    } else if (!b.is_legal(Move::at(p)) && !b.game_over()) {
+      ++cov.illegal_empty;
+      for (std::int64_t q : b.neighbors(p))
+        if (b.at(q) == Stone::kEmpty) {
+          ++cov.superko_empty;  // a stone with an empty neighbour is never suicide
+          break;
+        }
+    }
+  }
+  ASSERT_EQ(std::bit_cast<std::uint32_t>(b.tromp_taylor_score()),
+            std::bit_cast<std::uint32_t>(ref.tromp_taylor_score()));
+}
+
+void play_both(Board& b, RefBoard& ref, Move m, Coverage& cov) {
+  const std::int64_t before = stone_count(b);
+  b.play(m);
+  ref.play(m);
+  if (stone_count(b) < before + (m.is_pass() ? 0 : 1)) ++cov.captures;
+}
+
+// Uniform random playouts that pass only when nothing else is legal, so games
+// run long and fill the board: captures, kos and superko repeats all occur.
+Coverage random_corpus(std::int64_t size, std::uint64_t first_seed, int games, int max_moves) {
+  Coverage cov;
+  for (int g = 0; g < games; ++g) {
+    tensor::Rng rng(first_seed + static_cast<std::uint64_t>(g));
+    Board b(size, 0.5f);
+    RefBoard ref(size, 0.5f);
+    for (int move = 0; move < max_moves && !b.game_over(); ++move) {
+      expect_same_rules(b, ref, cov);
+      if (::testing::Test::HasFatalFailure()) return cov;
+      std::vector<Move> legal = b.legal_moves();
+      if (legal.size() > 1) legal.pop_back();  // drop pass while a stone is legal
+      play_both(b, ref, legal[static_cast<std::size_t>(rng.randint(legal.size()))], cov);
+    }
+    expect_same_rules(b, ref, cov);
+  }
+  return cov;
+}
+
+TEST(GoRulesEquivalence, RandomPlayouts5x5MatchCopyBasedRules) {
+  const Coverage cov = random_corpus(5, 100, 24, 160);
+  EXPECT_GT(cov.captures, 100);
+  EXPECT_GT(cov.illegal_empty, 100);
+  EXPECT_GT(cov.superko_empty, 0);
+}
+
+TEST(GoRulesEquivalence, RandomPlayouts9x9MatchCopyBasedRules) {
+  const Coverage cov = random_corpus(9, 900, 4, 260);
+  EXPECT_GT(cov.captures, 50);
+  EXPECT_GT(cov.illegal_empty, 50);
+}
+
+// The reference games MiniGoWorkload::prepare_data builds: the heuristic
+// teacher's self-play at the reference config, replayed on both boards.
+TEST(GoRulesEquivalence, TeacherSelfPlayGamesMatchCopyBasedRules) {
+  const models::MiniGoWorkload::Config cfg;
+  models::Mcts::Config teacher = cfg.mcts;
+  teacher.simulations = cfg.reference_teacher_sims;
+  teacher.dirichlet_weight = 0.1f;
+  tensor::Rng rng(0xD0D0CAFEULL);
+  Coverage cov;
+  for (std::int64_t g = 0; g < cfg.reference_games; ++g) {
+    const models::SelfPlayResult game =
+        models::self_play_game(teacher, models::heuristic_evaluator(), cfg.board_size, cfg.komi,
+                               cfg.max_game_moves, /*temperature_moves=*/4, rng);
+    Board b(cfg.board_size, cfg.komi);
+    RefBoard ref(cfg.board_size, cfg.komi);
+    for (const Move& m : game.record.moves) {
+      expect_same_rules(b, ref, cov);
+      ASSERT_FALSE(HasFatalFailure());
+      play_both(b, ref, m, cov);
+    }
+    expect_same_rules(b, ref, cov);
+    EXPECT_EQ(b.winner(), game.record.winner);
+  }
+  EXPECT_GT(cov.positions, 6 * 20);
+}
+
+// ---- capture, suicide and superko edge cases --------------------------------
+
+// Plays alternating moves given as (row, col); {-1, -1} is a pass.
+void play_all(Board& b, RefBoard& ref, std::initializer_list<std::pair<int, int>> moves) {
+  for (const auto& [r, c] : moves) {
+    const Move m = r < 0 ? Move::pass() : Move::at(pt(b, r, c));
+    b.play(m);
+    ref.play(m);
+  }
+}
+
+constexpr std::pair<int, int> kPass{-1, -1};
+
+TEST(GoRulesEdge, GroupTouchingTheMoveTwiceIsCapturedOnce) {
+  // White {(0,1), (1,0), (1,1)} touches (0,0) through (0,1) and (1,0); its
+  // only liberty is (0,0). Black there captures all three stones once.
+  Board b(5);
+  RefBoard ref(5);
+  play_all(b, ref, {{0, 2}, {0, 1}, {2, 0}, {1, 0}, {2, 1}, {1, 1}, {1, 2}, kPass, {0, 0}});
+  EXPECT_EQ(b.position_hash(), ref.position_hash());
+  // The same black stones reached without any capture hash the same: a
+  // stone XORed out twice would leave its key in the hash.
+  Board direct(5);
+  for (const auto& [r, c] : {std::pair{0, 2}, {2, 0}, {2, 1}, {1, 2}, {0, 0}}) {
+    direct.play(Move::at(pt(direct, r, c)));
+    direct.play(Move::pass());
+  }
+  EXPECT_EQ(b.position_hash(), direct.position_hash());
+}
+
+TEST(GoRulesEdge, GroupReachedTwiceKeepsItsFarLiberty) {
+  // White {(1,1), (1,2), (2,1)} touches (2,2) from above and from the left.
+  // Its one liberty besides (2,2) is (0,1), reached through (1,1): the scan
+  // from (1,2) finds it, and the scan from (2,1) must too, so black at
+  // (2,2) captures nothing.
+  Board b(5);
+  RefBoard ref(5);
+  play_all(b, ref, {{0, 2}, {1, 2}, {1, 3}, {1, 1}, {3, 1}, {2, 1}, {2, 0}, kPass});
+  ASSERT_EQ(b.liberties(pt(b, 1, 1)), 3);  // (0,1), (1,0) and (2,2)
+  play_all(b, ref, {{2, 2}});
+  for (const auto& [r, c] : {std::pair{1, 1}, {1, 2}, {2, 1}})
+    EXPECT_EQ(b.at(pt(b, r, c)), Stone::kWhite) << r << "," << c;
+  EXPECT_EQ(b.liberties(pt(b, 2, 1)), 2);
+  EXPECT_EQ(b.position_hash(), ref.position_hash());
+}
+
+TEST(GoRulesEdge, SuicideShapeThatCapturesIsLegal) {
+  // Black at the centre (2,2) of a 5x5 board touches four white stones and
+  // no empty point, but white (2,3) has (2,2) as its last liberty.
+  Board b(5);
+  RefBoard ref(5);
+  play_all(b, ref, {{1, 3}, {1, 2}, {3, 3}, {3, 2}, {2, 4}, {2, 1}, kPass, {2, 3}});
+  ASSERT_EQ(b.to_play(), Stone::kBlack);
+  ASSERT_TRUE(b.is_legal(Move::at(pt(b, 2, 2))));
+  ASSERT_TRUE(ref.is_legal(Move::at(pt(b, 2, 2))));
+  play_all(b, ref, {{2, 2}});
+  EXPECT_EQ(b.at(pt(b, 2, 3)), Stone::kEmpty);
+  EXPECT_EQ(b.at(pt(b, 1, 2)), Stone::kWhite);  // the other three survive
+  EXPECT_EQ(b.at(pt(b, 2, 1)), Stone::kWhite);
+  EXPECT_EQ(b.at(pt(b, 3, 2)), Stone::kWhite);
+  EXPECT_EQ(b.liberties(pt(b, 2, 2)), 1);
+  EXPECT_EQ(b.position_hash(), ref.position_hash());
+}
+
+TEST(GoRulesEdge, FillingOwnGroupsLastLibertyIsIllegal) {
+  // Black {(0,1), (1,0), (1,1)} has (0,0) as its only liberty; white around
+  // it has liberties to spare, so black at (0,0) captures nothing.
+  Board b(5);
+  RefBoard ref(5);
+  play_all(b, ref, {{0, 1}, {0, 2}, {1, 0}, {1, 2}, {1, 1}, {2, 1}, kPass, {2, 0}});
+  ASSERT_EQ(b.to_play(), Stone::kBlack);
+  ASSERT_EQ(b.liberties(pt(b, 1, 1)), 1);
+  EXPECT_FALSE(b.is_legal(Move::at(pt(b, 0, 0))));
+  EXPECT_FALSE(ref.is_legal(Move::at(pt(b, 0, 0))));
+  EXPECT_THROW(b.play(Move::at(pt(b, 0, 0))), std::invalid_argument);
+  // With a second liberty the same fill is a legal self-atari.
+  Board open(5);
+  RefBoard open_ref(5);
+  play_all(open, open_ref, {{0, 1}, {0, 2}, {1, 0}, {1, 2}, {1, 1}, {2, 1}});
+  ASSERT_EQ(open.at(pt(open, 2, 0)), Stone::kEmpty);
+  EXPECT_TRUE(open.is_legal(Move::at(pt(open, 0, 0))));
+  EXPECT_TRUE(open_ref.is_legal(Move::at(pt(open, 0, 0))));
+}
+
+TEST(GoRulesEdge, Snapback) {
+  // White {(0,2), (1,0), (1,1), (1,2)} has liberties (0,0) and (0,1), and
+  // black walls it in. Black throws in at (0,0), white takes that stone at
+  // (0,1), and black retakes at (0,0): five stones, not a ko.
+  Board b(5);
+  RefBoard ref(5);
+  play_all(b, ref,
+           {{0, 3}, {0, 2}, {1, 3}, {1, 0}, {2, 0}, {1, 1}, {2, 1}, {1, 2}, {2, 2}, kPass});
+  play_all(b, ref, {{0, 0}});
+  EXPECT_EQ(b.liberties(pt(b, 0, 0)), 1);  // the throw-in is in atari
+  play_all(b, ref, {{0, 1}});
+  EXPECT_EQ(b.at(pt(b, 0, 0)), Stone::kEmpty);
+  EXPECT_EQ(b.liberties(pt(b, 0, 1)), 1);  // white's whole group now is
+  ASSERT_TRUE(b.is_legal(Move::at(pt(b, 0, 0))));
+  ASSERT_TRUE(ref.is_legal(Move::at(pt(b, 0, 0))));
+  play_all(b, ref, {{0, 0}});
+  for (const auto& [r, c] : {std::pair{0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}})
+    EXPECT_EQ(b.at(pt(b, r, c)), Stone::kEmpty) << r << "," << c;
+  EXPECT_EQ(b.position_hash(), ref.position_hash());
+}
+
+TEST(GoRulesEdge, MultiStoneCaptureRecreatingAnOlderPositionIsSuperko) {
+  // Position X: black (0,1) in atari between white (0,0) and (1,1); black
+  // (1,2), (1,3), (0,4) wall off the top edge to the right.
+  Board b(5);
+  RefBoard ref(5);
+  play_all(b, ref, {{1, 2}, {0, 0}, {1, 3}, {1, 1}, {0, 4}, kPass, {0, 1}});
+  const std::uint64_t x = b.position_hash();
+  // White takes (0,1) from (0,2), black passes, white extends to (0,3). The
+  // pair (0,2)-(0,3) has (0,1) as its only liberty, so black at (0,1) would
+  // capture both stones and recreate X, four moves back.
+  play_all(b, ref, {{0, 2}, kPass, {0, 3}});
+  EXPECT_FALSE(b.is_legal(Move::at(pt(b, 0, 1))));
+  EXPECT_FALSE(ref.is_legal(Move::at(pt(b, 0, 1))));
+  const auto moves = points_of(b.legal_moves());
+  EXPECT_EQ(std::count(moves.begin(), moves.end(), pt(b, 0, 1)), 0);
+  EXPECT_EQ(points_of(b.legal_moves()), points_of(ref.legal_moves()));
+  // The same stones set up with no history: there the move is a legal
+  // two-stone capture whose result hashes to X.
+  Board fresh(5);
+  RefBoard fresh_ref(5);
+  play_all(fresh, fresh_ref, {{1, 2}, {0, 0}, {1, 3}, {1, 1}, {0, 4}, {0, 2}, kPass, {0, 3}});
+  ASSERT_TRUE(fresh.is_legal(Move::at(pt(fresh, 0, 1))));
+  play_all(fresh, fresh_ref, {{0, 1}});
+  EXPECT_EQ(fresh.at(pt(fresh, 0, 2)), Stone::kEmpty);
+  EXPECT_EQ(fresh.at(pt(fresh, 0, 3)), Stone::kEmpty);
+  EXPECT_EQ(fresh.position_hash(), x);
+  EXPECT_EQ(fresh_ref.position_hash(), x);
+}
 
 }  // namespace
 }  // namespace mlperf::go
