@@ -74,6 +74,9 @@ class GnmtWorkload : public Workload {
   std::string model_signature() const override { return "GNMT"; }
   std::string optimizer_name() const override { return "adam"; }
 
+  /// Direct access for the trained-bits tests (final-weights hashing).
+  GnmtModel* model() { return model_.get(); }
+
  private:
   Config config_;
   std::unique_ptr<data::SyntheticTranslationDataset> dataset_;

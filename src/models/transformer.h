@@ -89,6 +89,9 @@ class TransformerWorkload : public Workload {
   std::string model_signature() const override { return "Transformer"; }
   std::string optimizer_name() const override { return "adam"; }
 
+  /// Direct access for the trained-bits tests (final-weights hashing).
+  TransformerModel* model() { return model_.get(); }
+
  private:
   Config config_;
   std::unique_ptr<data::SyntheticTranslationDataset> dataset_;

@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <set>
 
+#include "checkpoint/state.h"
 #include "core/review.h"
 #include "harness/reference.h"
+#include "models/gnmt.h"
+#include "models/transformer.h"
 #include "tensor/gemm.h"
 
 namespace mlperf::harness {
@@ -281,6 +284,55 @@ TEST_P(SmokeEndToEnd, ReachesSmokeTarget) {
 INSTANTIATE_TEST_SUITE_P(FastWorkloads, SmokeEndToEnd,
                          ::testing::Values(BenchmarkId::kRecommendation,
                                            BenchmarkId::kObjectDetectionLight));
+
+// Trained-bits pin for the two Table-1 pairs that share a data path and an
+// eval (translation: GNMT and Transformer; detection: SSD and Mask R-CNN).
+// Two smoke-scale epochs at a fixed seed must reproduce the recorded quality
+// curve and final weights bit for bit, in Debug and Release alike.
+struct TrainedBitsCase {
+  BenchmarkId id;
+  std::uint64_t curve_fingerprint;
+  std::uint64_t weights_hash;
+};
+
+class TrainedBits : public ::testing::TestWithParam<TrainedBitsCase> {};
+
+const nn::Module& trained_model(models::Workload& w) {
+  if (auto* g = dynamic_cast<models::GnmtWorkload*>(&w)) return *g->model();
+  if (auto* t = dynamic_cast<models::TransformerWorkload*>(&w)) return *t->model();
+  return *w.training_state().model;
+}
+
+TEST_P(TrainedBits, TwoSmokeEpochsMatchRecordedBits) {
+  const TrainedBitsCase c = GetParam();
+  const auto suite = core::suite_v05();
+  const auto& spec = core::find_spec(suite, c.id);
+  core::QualityMetric target = scaled_target(spec, WorkloadScale::kSmoke);
+  ASSERT_TRUE(target.higher_is_better);
+  target.target = 1e9;  // unreachable: exactly max_epochs train
+  RunOptions opts;
+  opts.seed = 17;
+  opts.max_epochs = 2;
+  auto w = make_reference_workload(c.id, WorkloadScale::kSmoke);
+  const RunOutcome out = run_to_target(*w, target, opts);
+  ASSERT_EQ(out.epochs, 2);
+  EXPECT_EQ(outcome_fingerprint(out), c.curve_fingerprint) << spec.name;
+  EXPECT_EQ(checkpoint::hash_module(trained_model(*w)), c.weights_hash) << spec.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkloadPairs, TrainedBits,
+    ::testing::Values(TrainedBitsCase{BenchmarkId::kTranslationRecurrent,
+                                      278418072078892338ULL, 6519282697505212504ULL},
+                      TrainedBitsCase{BenchmarkId::kTranslationNonRecurrent,
+                                      278418072078892338ULL, 10334404971247592090ULL},
+                      TrainedBitsCase{BenchmarkId::kObjectDetectionLight,
+                                      10872148794631631899ULL, 17601707062122564863ULL},
+                      TrainedBitsCase{BenchmarkId::kObjectDetectionHeavy,
+                                      14408078072565031177ULL, 8637368694277547300ULL}),
+    [](const ::testing::TestParamInfo<TrainedBitsCase>& info) {
+      return core::find_spec(core::suite_v05(), info.param.id).name;
+    });
 
 }  // namespace
 }  // namespace mlperf::harness
