@@ -18,6 +18,22 @@ float iou(const Box& a, const Box& b) {
   return uni > 0.0f ? inter / uni : 0.0f;
 }
 
+DetectionExample random_horizontal_flip(DetectionExample ex, Rng& rng) {
+  if (rng.uniform() >= 0.5) return ex;
+  const auto mirror = [](Tensor& t) {  // reverses every row: the last axis is x
+    const std::int64_t w = t.shape().back();
+    for (std::int64_t r = 0; r < t.numel(); r += w) std::reverse(t.data() + r, t.data() + r + w);
+  };
+  mirror(ex.image);
+  for (auto& o : ex.objects) {
+    const float x1 = 1.0f - o.box.x2;
+    o.box.x2 = 1.0f - o.box.x1;
+    o.box.x1 = x1;
+    mirror(o.mask);
+  }
+  return ex;
+}
+
 SyntheticDetectionDataset::SyntheticDetectionDataset(const Config& config) : config_(config) {
   Rng rng(config_.seed ^ 0xC0C0AAULL);
   train_.reserve(static_cast<std::size_t>(config_.train_size));

@@ -32,6 +32,11 @@ struct DetectionExample {
   std::vector<GtObject> objects;
 };
 
+/// The detection pair's augmentation (SSD and Mask R-CNN): with probability
+/// 1/2, mirror the example left-right, image, boxes and masks together.
+/// Draws exactly one rng.uniform().
+DetectionExample random_horizontal_flip(DetectionExample ex, tensor::Rng& rng);
+
 /// Synthetic stand-in for COCO (see DESIGN.md): images contain 1..max_objects
 /// solid geometric shapes; shape kind = class (0 square, 1 disc, 2 diamond).
 /// Backgrounds have textured noise so detection is non-trivial. Boxes and

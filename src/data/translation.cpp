@@ -76,4 +76,35 @@ std::vector<TokenSeq> pad_batch(const std::vector<TokenSeq>& seqs, std::int64_t*
   return out;
 }
 
+BucketedTranslationData::BucketedTranslationData(
+    const SyntheticTranslationDataset::Config& config, std::int64_t batch_size)
+    : dataset_(config), batch_size_(static_cast<std::size_t>(batch_size)),
+      buckets_(static_cast<std::size_t>(config.max_len + 1)) {
+  for (std::int64_t i = 0; i < dataset_.train_size(); ++i)
+    buckets_[dataset_.train(i).source.size()].push_back(i);
+}
+
+void BucketedTranslationData::train_epoch(
+    Rng& rng, const std::function<void(const TranslationBatch&)>& step) {
+  std::vector<std::pair<std::size_t, std::size_t>> starts;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    rng.shuffle(buckets_[b]);
+    for (std::size_t off = 0; off < buckets_[b].size(); off += batch_size_)
+      starts.emplace_back(b, off);
+  }
+  rng.shuffle(starts);
+  for (const auto& [b, off] : starts) {
+    TranslationBatch batch;
+    for (std::size_t k = off; k < std::min(off + batch_size_, buckets_[b].size()); ++k) {
+      const SentencePair& pair = dataset_.train(buckets_[b][k]);
+      batch.src.push_back(pair.source);
+      TokenSeq& in = batch.tgt_in.emplace_back(1, kBos);
+      in.insert(in.end(), pair.target.begin(), pair.target.end());
+      batch.targets.insert(batch.targets.end(), pair.target.begin(), pair.target.end());
+      batch.targets.push_back(kEos);
+    }
+    step(batch);
+  }
+}
+
 }  // namespace mlperf::data

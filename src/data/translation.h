@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "tensor/rng.h"
@@ -72,5 +73,34 @@ class SyntheticTranslationDataset {
 
 /// Pad a batch of sequences to the max length with kPad; returns [B, T] ids.
 std::vector<TokenSeq> pad_batch(const std::vector<TokenSeq>& seqs, std::int64_t* out_len);
+
+/// One teacher-forced batch: the sources, the decoder inputs (BOS + target)
+/// and the next-token targets (each target + EOS), flattened row by row.
+struct TranslationBatch {
+  std::vector<TokenSeq> src, tgt_in;
+  std::vector<std::int64_t> targets;
+};
+
+/// The translation pair's train data path (GNMT and Transformer): the
+/// dataset, its train sentences grouped by source length so that every batch
+/// holds one length (neither encoder pads). Each epoch shuffles the groups
+/// further in place, so their order is training state.
+class BucketedTranslationData {
+ public:
+  BucketedTranslationData(const SyntheticTranslationDataset::Config& config,
+                          std::int64_t batch_size);
+
+  const SyntheticTranslationDataset& dataset() const { return dataset_; }
+
+  /// Runs `step` on each batch of one epoch. Shuffles every bucket in place,
+  /// in ascending length and empty ones included, then the list of
+  /// (bucket, offset) batch starts: all of the epoch's rng draws.
+  void train_epoch(tensor::Rng& rng, const std::function<void(const TranslationBatch&)>& step);
+
+ private:
+  SyntheticTranslationDataset dataset_;
+  std::size_t batch_size_;
+  std::vector<std::vector<std::int64_t>> buckets_;
+};
 
 }  // namespace mlperf::data

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "metrics/metrics.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
@@ -181,10 +180,7 @@ GnmtWorkload::GnmtWorkload(Config config) : config_(std::move(config)), rng_(1) 
 }
 
 void GnmtWorkload::prepare_data() {
-  dataset_ = std::make_unique<data::SyntheticTranslationDataset>(config_.dataset);
-  length_buckets_.assign(static_cast<std::size_t>(config_.dataset.max_len + 1), {});
-  for (std::int64_t i = 0; i < dataset_->train_size(); ++i)
-    length_buckets_[dataset_->train(i).source.size()].push_back(i);
+  data_ = std::make_unique<data::BucketedTranslationData>(config_.dataset, config_.batch_size);
 }
 
 void GnmtWorkload::build_model(std::uint64_t seed) {
@@ -195,62 +191,19 @@ void GnmtWorkload::build_model(std::uint64_t seed) {
 }
 
 void GnmtWorkload::train_epoch() {
-  if (!dataset_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
-  std::vector<std::pair<std::size_t, std::size_t>> batches;
-  for (std::size_t bkt = 0; bkt < length_buckets_.size(); ++bkt) {
-    rng_.shuffle(length_buckets_[bkt]);
-    for (std::size_t off = 0; off < length_buckets_[bkt].size();
-         off += static_cast<std::size_t>(config_.batch_size))
-      batches.emplace_back(bkt, off);
-  }
-  rng_.shuffle(batches);
-  for (const auto& [bkt, off] : batches) {
-    const auto& bucket = length_buckets_[bkt];
-    const std::size_t end =
-        std::min(off + static_cast<std::size_t>(config_.batch_size), bucket.size());
-    std::vector<TokenSeq> src, tgt_in;
-    std::vector<std::int64_t> targets;
-    for (std::size_t k = off; k < end; ++k) {
-      const auto& pair = dataset_->train(bucket[k]);
-      src.push_back(pair.source);
-      TokenSeq in{data::kBos};
-      in.insert(in.end(), pair.target.begin(), pair.target.end());
-      tgt_in.push_back(std::move(in));
-      for (std::int64_t tok : pair.target) targets.push_back(tok);
-      targets.push_back(data::kEos);
-    }
-    Variable logits = model_->forward_teacher(src, tgt_in);
-    Variable loss = nn::cross_entropy(logits, targets);
+  if (!data_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
+  data_->train_epoch(rng_, [this](const data::TranslationBatch& b) {
+    Variable loss = nn::cross_entropy(model_->forward_teacher(b.src, b.tgt_in), b.targets);
     optimizer_->zero_grad();
     loss.backward();
     optim::clip_grad_norm(optimizer_->params(), config_.grad_clip_norm);
     optimizer_->step(config_.lr);
-  }
+  });
 }
 
 double GnmtWorkload::evaluate() {
-  if (!dataset_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
-  autograd::NoGradGuard no_grad;  // forward only: record no graph
-  std::vector<TokenSeq> hyps, refs;
-  std::vector<std::vector<std::int64_t>> buckets(
-      static_cast<std::size_t>(config_.dataset.max_len + 1));
-  for (std::int64_t i = 0; i < dataset_->val_size(); ++i)
-    buckets[dataset_->val(i).source.size()].push_back(i);
-  for (const auto& bucket : buckets) {
-    for (std::size_t off = 0; off < bucket.size();
-         off += static_cast<std::size_t>(config_.batch_size)) {
-      const std::size_t end =
-          std::min(off + static_cast<std::size_t>(config_.batch_size), bucket.size());
-      std::vector<TokenSeq> src;
-      for (std::size_t k = off; k < end; ++k) src.push_back(dataset_->val(bucket[k]).source);
-      std::vector<TokenSeq> out = model_->greedy_translate(src, config_.dataset.max_len + 2);
-      for (std::size_t k = off; k < end; ++k) {
-        refs.push_back(dataset_->val(bucket[k]).target);
-        hyps.push_back(out[k - off]);
-      }
-    }
-  }
-  return metrics::bleu(hyps, refs);
+  if (!data_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
+  return greedy_decode_bleu(*model_, data_->dataset(), config_.batch_size);
 }
 
 std::map<std::string, double> GnmtWorkload::hyperparameters() const {

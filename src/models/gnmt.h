@@ -79,11 +79,10 @@ class GnmtWorkload : public Workload {
 
  private:
   Config config_;
-  std::unique_ptr<data::SyntheticTranslationDataset> dataset_;
+  std::unique_ptr<data::BucketedTranslationData> data_;
   std::unique_ptr<GnmtModel> model_;
   std::unique_ptr<optim::Adam> optimizer_;
   tensor::Rng rng_;
-  std::vector<std::vector<std::int64_t>> length_buckets_;
 };
 
 }  // namespace mlperf::models

@@ -441,19 +441,11 @@ std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,
 }
 
 MaskRcnnWorkload::EvalDetail MaskRcnnWorkload::evaluate_detail() {
-  autograd::NoGradGuard no_grad;  // forward only: record no graph
-  metrics::GroundTruth gt;
-  std::vector<metrics::Detection> detections;
-  gt.per_image.resize(static_cast<std::size_t>(dataset_->val_size()));
-  for (std::int64_t i = 0; i < dataset_->val_size(); ++i) {
-    const auto& ex = dataset_->val(i);
-    gt.per_image[static_cast<std::size_t>(i)] = ex.objects;
-    auto dets = detect(ex.image, i);
-    detections.insert(detections.end(), dets.begin(), dets.end());
-  }
+  const ValDetections val = detect_val_split(
+      *dataset_, [this](const Tensor& image, std::int64_t id) { return detect(image, id); });
   EvalDetail d;
-  d.box_map = metrics::coco_map(detections, gt, config_.model.num_classes, false);
-  d.mask_map = metrics::coco_map(detections, gt, config_.model.num_classes, true);
+  d.box_map = metrics::coco_map(val.detections, val.gt, config_.model.num_classes, false);
+  d.mask_map = metrics::coco_map(val.detections, val.gt, config_.model.num_classes, true);
   return d;
 }
 

@@ -99,6 +99,19 @@ std::vector<std::size_t> nms(const std::vector<Box>& boxes, const std::vector<fl
   return keep;
 }
 
+ValDetections detect_val_split(
+    const data::SyntheticDetectionDataset& dataset,
+    const std::function<std::vector<metrics::Detection>(const Tensor&, std::int64_t)>& detect) {
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
+  ValDetections out;
+  for (std::int64_t i = 0; i < dataset.val_size(); ++i) {
+    out.gt.per_image.push_back(dataset.val(i).objects);
+    const std::vector<metrics::Detection> dets = detect(dataset.val(i).image, i);
+    out.detections.insert(out.detections.end(), dets.begin(), dets.end());
+  }
+  return out;
+}
+
 SsdModel::SsdModel(const Config& config, tensor::Rng& rng)
     : config_(config),
       f1_(config.image_size / 2), f2_(config.image_size / 4),
@@ -210,30 +223,10 @@ void SsdWorkload::train_epoch() {
     Tensor box_targets({n * num_anchors, 4});
     std::vector<float> pos_weight(static_cast<std::size_t>(n * num_anchors), 0.0f);
 
-    std::vector<std::vector<float>> neg_candidates;  // (filled after forward)
-    std::vector<data::DetectionExample> flipped;
-    flipped.reserve(static_cast<std::size_t>(n));
     for (std::int64_t b = 0; b < n; ++b) {
-      data::DetectionExample ex = dataset_->train(static_cast<std::int64_t>(order[off + static_cast<std::size_t>(b)]));
-      if (rng_.uniform() < 0.5) {  // horizontal flip, boxes/masks follow
-        const std::int64_t c = ex.image.shape()[0], h = ex.image.shape()[1],
-                           w = ex.image.shape()[2];
-        Tensor img({c, h, w});
-        for (std::int64_t ch = 0; ch < c; ++ch)
-          for (std::int64_t i = 0; i < h; ++i)
-            for (std::int64_t j = 0; j < w; ++j)
-              img.at({ch, i, j}) = ex.image.at({ch, i, w - 1 - j});
-        ex.image = img;
-        for (auto& o : ex.objects) {
-          const float x1 = 1.0f - o.box.x2, x2 = 1.0f - o.box.x1;
-          o.box.x1 = x1;
-          o.box.x2 = x2;
-          Tensor m({h, w});
-          for (std::int64_t i = 0; i < h; ++i)
-            for (std::int64_t j = 0; j < w; ++j) m.at({i, j}) = o.mask.at({i, w - 1 - j});
-          o.mask = m;
-        }
-      }
+      const data::DetectionExample ex = data::random_horizontal_flip(
+          dataset_->train(static_cast<std::int64_t>(order[off + static_cast<std::size_t>(b)])),
+          rng_);
       std::copy(ex.image.vec().begin(), ex.image.vec().end(),
                 images.vec().begin() + b * ex.image.numel());
       const MatchResult match = match_anchors(anchors, ex.objects, config_.match_iou);
@@ -247,7 +240,6 @@ void SsdWorkload::train_epoch() {
                                        anchors.anchors[static_cast<std::size_t>(a)]);
         for (int k = 0; k < 4; ++k) box_targets[row * 4 + k] = enc[static_cast<std::size_t>(k)];
       }
-      flipped.push_back(std::move(ex));
     }
 
     SsdModel::Output out = model_->forward(Variable(images));
@@ -320,17 +312,9 @@ std::vector<metrics::Detection> SsdWorkload::detect(const Tensor& image, std::in
 
 double SsdWorkload::evaluate() {
   if (!dataset_ || !model_) throw std::logic_error("SsdWorkload: not prepared");
-  autograd::NoGradGuard no_grad;  // forward only: record no graph
-  metrics::GroundTruth gt;
-  std::vector<metrics::Detection> detections;
-  gt.per_image.resize(static_cast<std::size_t>(dataset_->val_size()));
-  for (std::int64_t i = 0; i < dataset_->val_size(); ++i) {
-    const auto& ex = dataset_->val(i);
-    gt.per_image[static_cast<std::size_t>(i)] = ex.objects;
-    auto dets = detect(ex.image, i);
-    detections.insert(detections.end(), dets.begin(), dets.end());
-  }
-  return metrics::coco_map(detections, gt, config_.model.num_classes);
+  const ValDetections val = detect_val_split(
+      *dataset_, [this](const Tensor& image, std::int64_t id) { return detect(image, id); });
+  return metrics::coco_map(val.detections, val.gt, config_.model.num_classes);
 }
 
 std::map<std::string, double> SsdWorkload::hyperparameters() const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "data/detection.h"
@@ -45,6 +46,17 @@ MatchResult match_anchors(const AnchorSet& anchors, const std::vector<data::GtOb
 /// Greedy non-maximum suppression; returns indices of kept detections.
 std::vector<std::size_t> nms(const std::vector<data::Box>& boxes,
                              const std::vector<float>& scores, float iou_threshold);
+
+/// The detection pair's eval gather (SSD and Mask R-CNN): every val image's
+/// ground truth and what `detect(image, index)` finds in it, with no graph.
+struct ValDetections {
+  metrics::GroundTruth gt;
+  std::vector<metrics::Detection> detections;
+};
+ValDetections detect_val_split(
+    const data::SyntheticDetectionDataset& dataset,
+    const std::function<std::vector<metrics::Detection>(const tensor::Tensor&, std::int64_t)>&
+        detect);
 
 /// Mini SSD detector: a small residual backbone producing two feature maps,
 /// each with a conv head predicting per-anchor class logits (+background)

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "metrics/metrics.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
@@ -157,12 +156,7 @@ TransformerWorkload::TransformerWorkload(Config config) : config_(std::move(conf
 }
 
 void TransformerWorkload::prepare_data() {
-  dataset_ = std::make_unique<data::SyntheticTranslationDataset>(config_.dataset);
-  length_buckets_.assign(static_cast<std::size_t>(config_.dataset.max_len + 1), {});
-  for (std::int64_t i = 0; i < dataset_->train_size(); ++i) {
-    const std::size_t len = dataset_->train(i).source.size();
-    length_buckets_[len].push_back(i);
-  }
+  data_ = std::make_unique<data::BucketedTranslationData>(config_.dataset, config_.batch_size);
 }
 
 void TransformerWorkload::build_model(std::uint64_t seed) {
@@ -173,69 +167,22 @@ void TransformerWorkload::build_model(std::uint64_t seed) {
 }
 
 void TransformerWorkload::train_epoch() {
-  if (!dataset_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
-  // Visit buckets in random order; batches are equal-length by construction.
-  std::vector<std::pair<std::size_t, std::size_t>> batches;  // (bucket, offset)
-  for (std::size_t bkt = 0; bkt < length_buckets_.size(); ++bkt) {
-    rng_.shuffle(length_buckets_[bkt]);
-    for (std::size_t off = 0; off < length_buckets_[bkt].size();
-         off += static_cast<std::size_t>(config_.batch_size))
-      batches.emplace_back(bkt, off);
-  }
-  rng_.shuffle(batches);
-
-  for (const auto& [bkt, off] : batches) {
+  if (!data_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
+  data_->train_epoch(rng_, [this](const data::TranslationBatch& b) {
     autograd::GraphEpoch epoch_scope;  // step-scoped pool instrumentation
-    const auto& bucket = length_buckets_[bkt];
-    const std::size_t end =
-        std::min(off + static_cast<std::size_t>(config_.batch_size), bucket.size());
-    std::vector<TokenSeq> src, tgt_in;
-    std::vector<std::int64_t> targets;
-    for (std::size_t k = off; k < end; ++k) {
-      const auto& pair = dataset_->train(bucket[k]);
-      src.push_back(pair.source);
-      TokenSeq in{data::kBos};
-      in.insert(in.end(), pair.target.begin(), pair.target.end());
-      tgt_in.push_back(std::move(in));
-      for (std::int64_t tok : pair.target) targets.push_back(tok);
-      targets.push_back(data::kEos);
-    }
-    Variable memory = model_->encode(src);
-    Variable logits = model_->decode(tgt_in, memory);
+    Variable logits = model_->decode(b.tgt_in, model_->encode(b.src));
     Variable loss = config_.label_smoothing > 0.0f
-                        ? nn::smoothed_cross_entropy(logits, targets, config_.label_smoothing)
-                        : nn::cross_entropy(logits, targets);
+                        ? nn::smoothed_cross_entropy(logits, b.targets, config_.label_smoothing)
+                        : nn::cross_entropy(logits, b.targets);
     optimizer_->zero_grad();
     loss.backward();
     optimizer_->step(config_.lr);
-  }
+  });
 }
 
 double TransformerWorkload::evaluate() {
-  if (!dataset_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
-  autograd::NoGradGuard no_grad;  // forward only: record no graph
-  std::vector<TokenSeq> hyps, refs;
-  // Translate per-length groups (batched greedy decode needs equal lengths).
-  std::vector<std::vector<std::int64_t>> buckets(
-      static_cast<std::size_t>(config_.dataset.max_len + 1));
-  for (std::int64_t i = 0; i < dataset_->val_size(); ++i)
-    buckets[dataset_->val(i).source.size()].push_back(i);
-  for (const auto& bucket : buckets) {
-    for (std::size_t off = 0; off < bucket.size();
-         off += static_cast<std::size_t>(config_.batch_size)) {
-      const std::size_t end =
-          std::min(off + static_cast<std::size_t>(config_.batch_size), bucket.size());
-      std::vector<TokenSeq> src;
-      for (std::size_t k = off; k < end; ++k) src.push_back(dataset_->val(bucket[k]).source);
-      std::vector<TokenSeq> out =
-          model_->greedy_translate(src, config_.dataset.max_len + 2);
-      for (std::size_t k = off; k < end; ++k) {
-        refs.push_back(dataset_->val(bucket[k]).target);
-        hyps.push_back(out[k - off]);
-      }
-    }
-  }
-  return metrics::bleu(hyps, refs);
+  if (!data_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
+  return greedy_decode_bleu(*model_, data_->dataset(), config_.batch_size);
 }
 
 std::map<std::string, double> TransformerWorkload::hyperparameters() const {

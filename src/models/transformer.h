@@ -94,12 +94,10 @@ class TransformerWorkload : public Workload {
 
  private:
   Config config_;
-  std::unique_ptr<data::SyntheticTranslationDataset> dataset_;
+  std::unique_ptr<data::BucketedTranslationData> data_;
   std::unique_ptr<TransformerModel> model_;
   std::unique_ptr<optim::Adam> optimizer_;
   tensor::Rng rng_;
-  /// Train sentence indices bucketed by source length (equal-length batches).
-  std::vector<std::vector<std::int64_t>> length_buckets_;
 };
 
 }  // namespace mlperf::models

@@ -1,10 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 
 #include "checkpoint/state.h"
+#include "data/translation.h"
+#include "metrics/metrics.h"
 
 namespace mlperf::models {
 
@@ -47,5 +50,29 @@ class Workload {
   virtual std::string optimizer_name() const = 0;
   virtual std::string augmentation_signature() const { return ""; }
 };
+
+/// The translation pair's eval (GNMT and Transformer): corpus BLEU of greedy
+/// decoding, up to max_len + 2 steps, over the val split translated in
+/// equal-length batches (ascending source length, then index).
+template <typename Model>
+double greedy_decode_bleu(Model& model, const data::SyntheticTranslationDataset& ds,
+                          std::int64_t batch_size) {
+  autograd::NoGradGuard no_grad;  // forward only: record no graph
+  const auto n = static_cast<std::size_t>(batch_size);
+  std::vector<std::vector<std::int64_t>> buckets(static_cast<std::size_t>(ds.config().max_len + 1));
+  for (std::int64_t i = 0; i < ds.val_size(); ++i) buckets[ds.val(i).source.size()].push_back(i);
+  std::vector<data::TokenSeq> hyps, refs;
+  for (const auto& bucket : buckets)
+    for (std::size_t off = 0; off < bucket.size(); off += n) {
+      std::vector<data::TokenSeq> src;
+      for (std::size_t k = off; k < std::min(off + n, bucket.size()); ++k) {
+        src.push_back(ds.val(bucket[k]).source);
+        refs.push_back(ds.val(bucket[k]).target);
+      }
+      for (auto& hyp : model.greedy_translate(src, ds.config().max_len + 2))
+        hyps.push_back(std::move(hyp));
+    }
+  return metrics::bleu(hyps, refs);
+}
 
 }  // namespace mlperf::models
