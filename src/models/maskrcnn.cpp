@@ -376,7 +376,9 @@ void MaskRcnnWorkload::train_epoch() {
   model_->set_training(true);
   std::vector<std::size_t> order =
       rng_.permutation(static_cast<std::size_t>(dataset_->train_size()));
-  for (std::size_t idx : order) train_image(dataset_->train(static_cast<std::int64_t>(idx)));
+  for (std::size_t idx : order)
+    train_image(
+        data::random_horizontal_flip(dataset_->train(static_cast<std::int64_t>(idx)), rng_));
 }
 
 std::vector<metrics::Detection> MaskRcnnWorkload::detect(const Tensor& image,

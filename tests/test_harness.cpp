@@ -329,7 +329,7 @@ INSTANTIATE_TEST_SUITE_P(
                       TrainedBitsCase{BenchmarkId::kObjectDetectionLight,
                                       10872148794631631899ULL, 17601707062122564863ULL},
                       TrainedBitsCase{BenchmarkId::kObjectDetectionHeavy,
-                                      14408078072565031177ULL, 8637368694277547300ULL}),
+                                      6066059953816921348ULL, 10201332974860916293ULL}),
     [](const ::testing::TestParamInfo<TrainedBitsCase>& info) {
       return core::find_spec(core::suite_v05(), info.param.id).name;
     });
