@@ -39,7 +39,7 @@ class CheckpointError : public std::runtime_error {
 /// (core::atomic_write_file), so a crash mid-save never clobbers the previous
 /// checkpoint.
 inline constexpr std::uint32_t kMagic = 0x4B434C4DU;  // "MLCK" little-endian
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// CRC32C (Castagnoli), the checksum used per section. Software table
 /// implementation; `seed` chains incremental updates.

@@ -139,31 +139,58 @@ void write_state(CheckpointWriter& out, const TrainingState& state) {
     progress.put_string(name);
     progress.put_i64(*value);
   }
+  progress.put_u64(state.index_lists.size());
+  for (const auto& [name, list] : state.index_lists) {
+    progress.put_string(name);
+    progress.put_u64(list->size());
+    for (std::int64_t v : *list) progress.put_i64(v);
+  }
 }
 
 void read_state(const CheckpointReader& in, const TrainingState& state) {
   require_complete(state);
-  // Look up every section before restoring any, so a missing one leaves the
-  // workload untouched.
+  // Look up every section and parse "progress" before restoring anything, so
+  // a missing section or a mismatched counter or list leaves the workload
+  // untouched.
   ByteReader model_in = in.section("model");
   ByteReader opt_in = in.section("optimizer");
   ByteReader rng_in = in.section("rng");
   ByteReader progress = in.section("progress");
+  const auto expect = [&progress](std::size_t want, const char* what) {
+    const std::uint64_t n = progress.get_u64();
+    if (n != want)
+      throw CheckpointError(std::string(what) + " count mismatch: checkpoint has " +
+                            std::to_string(n) + ", workload has " + std::to_string(want));
+  };
+  const auto expect_name = [&progress](const std::string& name, const char* what) {
+    const std::string got = progress.get_string();
+    if (got != name)
+      throw CheckpointError(std::string(what) + " name mismatch: checkpoint has '" + got +
+                            "', workload expects '" + name + "'");
+  };
+  std::vector<std::int64_t> counters;
+  expect(state.counters.size(), "progress counter");
+  for (const auto& [name, value] : state.counters) {
+    expect_name(name, "progress counter");
+    counters.push_back(progress.get_i64());
+  }
+  std::vector<std::vector<std::int64_t>> lists;
+  expect(state.index_lists.size(), "index list");
+  for (const auto& [name, list] : state.index_lists) {
+    expect_name(name, "index list");
+    const std::uint64_t len = progress.get_u64();
+    if (len != list->size())
+      throw CheckpointError("index list length mismatch for '" + name + "': checkpoint has " +
+                            std::to_string(len) + ", workload has " +
+                            std::to_string(list->size()));
+    std::vector<std::int64_t>& values = lists.emplace_back(list->size());
+    for (std::int64_t& v : values) v = progress.get_i64();
+  }
   read_module(model_in, *state.model);
   read_optimizer(opt_in, *state.optimizer);
   read_rng(rng_in, *state.rng);
-  const std::uint64_t n = progress.get_u64();
-  if (n != state.counters.size())
-    throw CheckpointError("progress counter count mismatch: checkpoint has " +
-                          std::to_string(n) + ", workload has " +
-                          std::to_string(state.counters.size()));
-  for (const auto& [name, value] : state.counters) {
-    const std::string got = progress.get_string();
-    if (got != name)
-      throw CheckpointError("progress counter name mismatch: checkpoint has '" + got +
-                            "', workload expects '" + name + "'");
-    *value = progress.get_i64();
-  }
+  for (std::size_t i = 0; i < counters.size(); ++i) *state.counters[i].second = counters[i];
+  for (std::size_t i = 0; i < lists.size(); ++i) *state.index_lists[i].second = std::move(lists[i]);
 }
 
 std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t h) {

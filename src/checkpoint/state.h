@@ -14,24 +14,28 @@ namespace mlperf::checkpoint {
 
 /// A workload's complete training state, as pointers into the workload's own
 /// storage (cf. optim::OptimizerStateDict): the model's parameters and
-/// buffers, the optimizer's slots and step counters, the run rng, and any
-/// named progress counters (e.g. the LR-schedule step). The view is taken at
-/// an epoch boundary, where everything else a workload holds is either
-/// constant or a pure function of these. An empty view (null `model`) means
-/// the workload cannot be checkpointed.
+/// buffers, the optimizer's slots and step counters, the run rng, any named
+/// progress counters (e.g. the LR-schedule step) and any named index lists
+/// (e.g. a data order each epoch permutes further). The view is taken at an
+/// epoch boundary, where everything else a workload holds is either constant
+/// or a pure function of these. An empty view (null `model`) means the
+/// workload cannot be checkpointed.
 struct TrainingState {
   nn::Module* model = nullptr;
   optim::Optimizer* optimizer = nullptr;
   tensor::Rng* rng = nullptr;
   std::vector<std::pair<std::string, std::int64_t*>> counters;
+  std::vector<std::pair<std::string, std::vector<std::int64_t>*>> index_lists = {};
 };
 
 /// Writes the workload sections "model", "optimizer", "rng" and "progress"
-/// (the named counters). Throws std::logic_error on an incomplete view.
+/// (the named counters, then the named index lists). Throws
+/// std::logic_error on an incomplete view.
 void write_state(CheckpointWriter& out, const TrainingState& state);
 /// Restores every section written by write_state in place, with the strict
-/// name/shape/count checks of the readers below; a missing section or a
-/// counter-name mismatch throws CheckpointError.
+/// name/shape/count checks of the readers below. A missing section, or a
+/// counter or index list whose name, count or length differs, throws
+/// CheckpointError before anything is restored.
 void read_state(const CheckpointReader& in, const TrainingState& state);
 
 /// Serializers for the training-state building blocks workloads compose

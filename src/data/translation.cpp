@@ -107,4 +107,12 @@ void BucketedTranslationData::train_epoch(
   }
 }
 
+std::vector<std::pair<std::string, std::vector<std::int64_t>*>>
+BucketedTranslationData::bucket_order() {
+  std::vector<std::pair<std::string, std::vector<std::int64_t>*>> lists;
+  for (std::size_t len = 0; len < buckets_.size(); ++len)
+    lists.emplace_back("bucket_len" + std::to_string(len), &buckets_[len]);
+  return lists;
+}
+
 }  // namespace mlperf::data

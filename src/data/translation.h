@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/rng.h"
@@ -96,6 +98,10 @@ class BucketedTranslationData {
   /// in ascending length and empty ones included, then the list of
   /// (bucket, offset) batch starts: all of the epoch's rng draws.
   void train_epoch(tensor::Rng& rng, const std::function<void(const TranslationBatch&)>& step);
+
+  /// The buckets' current order, one list per source length named
+  /// "bucket_len<n>": for checkpoint::TrainingState::index_lists.
+  std::vector<std::pair<std::string, std::vector<std::int64_t>*>> bucket_order();
 
  private:
   SyntheticTranslationDataset dataset_;

@@ -206,6 +206,11 @@ double GnmtWorkload::evaluate() {
   return greedy_decode_bleu(*model_, data_->dataset(), config_.batch_size);
 }
 
+checkpoint::TrainingState GnmtWorkload::training_state() {
+  if (!data_ || !model_) throw std::logic_error("GnmtWorkload: not prepared");
+  return {model_.get(), optimizer_.get(), &rng_, {}, data_->bucket_order()};
+}
+
 std::map<std::string, double> GnmtWorkload::hyperparameters() const {
   return {{"global_batch_size", static_cast<double>(config_.batch_size)},
           {"learning_rate", config_.lr},

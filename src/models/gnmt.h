@@ -74,8 +74,9 @@ class GnmtWorkload : public Workload {
   std::string model_signature() const override { return "GNMT"; }
   std::string optimizer_name() const override { return "adam"; }
 
-  /// Direct access for the trained-bits tests (final-weights hashing).
-  GnmtModel* model() { return model_.get(); }
+  /// The length buckets' order is the one state an epoch carries beyond the
+  /// model, the optimizer and the rng: each epoch shuffles it further.
+  checkpoint::TrainingState training_state() override;
 
  private:
   Config config_;

@@ -185,6 +185,11 @@ double TransformerWorkload::evaluate() {
   return greedy_decode_bleu(*model_, data_->dataset(), config_.batch_size);
 }
 
+checkpoint::TrainingState TransformerWorkload::training_state() {
+  if (!data_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
+  return {model_.get(), optimizer_.get(), &rng_, {}, data_->bucket_order()};
+}
+
 std::map<std::string, double> TransformerWorkload::hyperparameters() const {
   return {{"global_batch_size", static_cast<double>(config_.batch_size)},
           {"learning_rate", config_.lr},

@@ -704,19 +704,21 @@ TEST(Harness, CheckpointEventsCarryAuditMetadata) {
 struct TinyState {
   explicit TinyState(std::uint64_t seed)
       : init(seed), net(init), opt(net.parameters()), rng(seed + 100) {}
-  TrainingState view(const std::string& counter_name) {
-    return {&net, &opt, &rng, {{counter_name, &step}}};
+  TrainingState view(const std::string& counter_name, const std::string& list_name = "order") {
+    return {&net, &opt, &rng, {{counter_name, &step}}, {{list_name, &order}}};
   }
   tensor::Rng init;
   TinyNet net;
   optim::SgdMomentum opt;
   tensor::Rng rng;
   std::int64_t step = 0;
+  std::vector<std::int64_t> order{0, 1, 2, 3};
 };
 
 TEST(State, WriteStateReadStateRoundTrip) {
   TinyState a(1), b(2);
   a.step = 42;
+  a.order = {2, 0, 3, 1};
   (void)a.rng.normal();
   CheckpointWriter w;
   write_state(w, a.view("step"));
@@ -724,6 +726,7 @@ TEST(State, WriteStateReadStateRoundTrip) {
   read_state(r, b.view("step"));
   EXPECT_EQ(hash_module(b.net), hash_module(a.net));
   EXPECT_EQ(b.step, 42);
+  EXPECT_EQ(b.order, a.order);
   EXPECT_EQ(b.rng.normal(), a.rng.normal());
   EXPECT_EQ(b.rng.next_u64(), a.rng.next_u64());
 }
@@ -739,6 +742,33 @@ TEST(State, ReadStateRejectsCounterNameMismatch) {
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("epoch"), std::string::npos) << e.what();
   }
+}
+
+// Index lists are as strict as the counters: a checkpoint that lacks one, or
+// has it under another name or at another length, is rejected before any
+// section is restored.
+TEST(State, ReadStateRejectsIndexListDrift) {
+  TinyState a(1), b(2);
+  a.step = 7;
+  const std::uint64_t before = hash_module(b.net);
+  const auto expect_rejected = [&](const TrainingState& saved, const std::string& needle) {
+    CheckpointWriter w;
+    write_state(w, saved);
+    CheckpointReader r = CheckpointReader::parse(w.serialize(), "mem");
+    try {
+      read_state(r, b.view("step"));
+      FAIL() << "index list drift (" << needle << ") was silently loaded";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(hash_module(b.net), before) << "a rejected checkpoint modified the model";
+    EXPECT_EQ(b.step, 0);
+    EXPECT_EQ(b.order, (std::vector<std::int64_t>{0, 1, 2, 3}));
+  };
+  expect_rejected({&a.net, &a.opt, &a.rng, {{"step", &a.step}}}, "index list count");
+  expect_rejected(a.view("step", "perm"), "'order'");
+  a.order.push_back(4);
+  expect_rejected(a.view("step"), "length");
 }
 
 TEST(State, ReadStateRejectsMissingRngSection) {
@@ -810,13 +840,15 @@ TEST_P(WorkloadResume, KillAfterEpochOneResumesIdentically) {
 INSTANTIATE_TEST_SUITE_P(
     Checkpointable, WorkloadResume,
     ::testing::Values(BenchmarkId::kRecommendation, BenchmarkId::kImageClassification,
-                      BenchmarkId::kObjectDetectionLight, BenchmarkId::kObjectDetectionHeavy),
+                      BenchmarkId::kObjectDetectionLight, BenchmarkId::kObjectDetectionHeavy,
+                      BenchmarkId::kTranslationRecurrent,
+                      BenchmarkId::kTranslationNonRecurrent),
     [](const ::testing::TestParamInfo<BenchmarkId>& info) {
       return core::find_spec(core::suite_v05(), info.param).name;
     });
 
-// GNMT and Transformer keep persistent per-bucket shuffles outside the view,
-// so like MiniGo they must refuse checkpointing rather than resume wrongly.
+// MiniGo's replay buffer of self-play positions lies outside any view, so it
+// must refuse checkpointing rather than resume wrongly.
 class UncheckpointableWorkload : public ::testing::TestWithParam<BenchmarkId> {};
 
 TEST_P(UncheckpointableWorkload, CheckpointOptionsRejected) {
@@ -836,9 +868,7 @@ TEST_P(UncheckpointableWorkload, CheckpointOptionsRejected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Translation, UncheckpointableWorkload,
-    ::testing::Values(BenchmarkId::kTranslationRecurrent,
-                      BenchmarkId::kTranslationNonRecurrent),
+    SelfPlay, UncheckpointableWorkload, ::testing::Values(BenchmarkId::kReinforcementLearning),
     [](const ::testing::TestParamInfo<BenchmarkId>& info) {
       return core::find_spec(core::suite_v05(), info.param).name;
     });

@@ -8,8 +8,6 @@
 #include "checkpoint/state.h"
 #include "core/review.h"
 #include "harness/reference.h"
-#include "models/gnmt.h"
-#include "models/transformer.h"
 #include "tensor/gemm.h"
 
 namespace mlperf::harness {
@@ -297,12 +295,6 @@ struct TrainedBitsCase {
 
 class TrainedBits : public ::testing::TestWithParam<TrainedBitsCase> {};
 
-const nn::Module& trained_model(models::Workload& w) {
-  if (auto* g = dynamic_cast<models::GnmtWorkload*>(&w)) return *g->model();
-  if (auto* t = dynamic_cast<models::TransformerWorkload*>(&w)) return *t->model();
-  return *w.training_state().model;
-}
-
 TEST_P(TrainedBits, TwoSmokeEpochsMatchRecordedBits) {
   const TrainedBitsCase c = GetParam();
   const auto suite = core::suite_v05();
@@ -317,7 +309,7 @@ TEST_P(TrainedBits, TwoSmokeEpochsMatchRecordedBits) {
   const RunOutcome out = run_to_target(*w, target, opts);
   ASSERT_EQ(out.epochs, 2);
   EXPECT_EQ(outcome_fingerprint(out), c.curve_fingerprint) << spec.name;
-  EXPECT_EQ(checkpoint::hash_module(trained_model(*w)), c.weights_hash) << spec.name;
+  EXPECT_EQ(checkpoint::hash_module(*w->training_state().model), c.weights_hash) << spec.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
