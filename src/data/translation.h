@@ -73,9 +73,6 @@ class SyntheticTranslationDataset {
   std::vector<SentencePair> val_;
 };
 
-/// Pad a batch of sequences to the max length with kPad; returns [B, T] ids.
-std::vector<TokenSeq> pad_batch(const std::vector<TokenSeq>& seqs, std::int64_t* out_len);
-
 /// One teacher-forced batch: the sources, the decoder inputs (BOS + target)
 /// and the next-token targets (each target + EOS), flattened row by row.
 struct TranslationBatch {

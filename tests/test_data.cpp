@@ -425,15 +425,6 @@ TEST(TranslationData, LengthsWithinConfig) {
   }
 }
 
-TEST(TranslationData, PadBatchAligns) {
-  std::vector<TokenSeq> seqs = {{3, 4}, {3, 4, 5, 6}, {3}};
-  std::int64_t len = 0;
-  const auto padded = pad_batch(seqs, &len);
-  EXPECT_EQ(len, 4);
-  for (const auto& s : padded) EXPECT_EQ(s.size(), 4u);
-  EXPECT_EQ(padded[2][1], kPad);
-}
-
 TEST(RecsysData, HoldoutDisjointFromTraining) {
   ImplicitCfDataset ds({});
   for (const auto& inter : ds.train_interactions())
