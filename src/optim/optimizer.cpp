@@ -12,8 +12,9 @@ namespace {
 // Mirror of the ordered-reduction chunk size in src/tensor/tensor.cpp
 // (kReduceGrain). Lars::step() computes both layer norms in one fused
 // parallel_reduce and must chunk exactly like Tensor::l2_norm_sq() to stay
-// bitwise identical to step_unfused(); a refcheck test with numel > 1<<16
-// pins the coupling, so a drift in either constant fails loudly.
+// bitwise identical to lars_step_ref() (tests/reference/optim_ref.h), which
+// calls it; a refcheck test with numel > 1<<16 pins the coupling, so a drift
+// in either constant fails loudly.
 constexpr std::int64_t kReduceGrain = std::int64_t{1} << 16;
 
 }  // namespace
@@ -69,9 +70,10 @@ SgdMomentum::SgdMomentum(std::vector<Variable> params, float momentum, float wei
 void SgdMomentum::step(float lr) {
   // Fused single-sweep update: the semantics branch is hoisted out of the
   // element loop and the buffers are walked through raw pointers. Per-element
-  // arithmetic is expression-for-expression identical to step_unfused(), so
-  // the resulting bits are the same (no FMA contraction at the default build
-  // flags; refcheck tests pin the equivalence).
+  // arithmetic is expression-for-expression identical to
+  // sgd_momentum_step_ref(), so the resulting bits are the same (no FMA
+  // contraction at the default build flags; refcheck tests pin the
+  // equivalence).
   const float mu = momentum_;
   const float wd = weight_decay_;
   const bool lr_inside = semantics_ == MomentumSemantics::kLrInsideMomentum;
@@ -94,26 +96,6 @@ void SgdMomentum::step(float lr) {
         const float vj = mu * v[j] + grad;       // Eq. 2
         v[j] = vj;
         w[j] -= lr * vj;
-      }
-    }
-  }
-}
-
-void SgdMomentum::step_unfused(float lr) {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    Tensor& w = p.mutable_value();
-    const Tensor& g = p.grad();
-    Tensor& v = velocity_[i];
-    const std::int64_t n = w.numel();
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float grad = g[j] + weight_decay_ * w[j];
-      if (semantics_ == MomentumSemantics::kLrInsideMomentum) {
-        v[j] = momentum_ * v[j] + lr * grad;  // Eq. 1
-        w[j] -= v[j];
-      } else {
-        v[j] = momentum_ * v[j] + grad;       // Eq. 2
-        w[j] -= lr * v[j];
       }
     }
   }
@@ -142,7 +124,7 @@ void Adam::step(float lr) {
   // Fused single-sweep update over raw pointers; moment reads/writes go
   // through locals so each slot is loaded and stored once per element. The
   // per-element expressions (including the explicit /bc1 and /bc2 divisions —
-  // no reciprocal-multiply) match step_unfused() exactly, so the bits do too.
+  // no reciprocal-multiply) match adam_step_ref() exactly, so the bits do too.
   ++t_;
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
@@ -172,26 +154,6 @@ void Adam::step(float lr) {
   }
 }
 
-void Adam::step_unfused(float lr) {
-  ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    Tensor& w = p.mutable_value();
-    const Tensor& g = p.grad();
-    const std::int64_t n = w.numel();
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float grad = g[j] + weight_decay_ * w[j];
-      m_[i][j] = beta1_ * m_[i][j] + (1.0f - beta1_) * grad;
-      v_[i][j] = beta2_ * v_[i][j] + (1.0f - beta2_) * grad * grad;
-      const float mhat = m_[i][j] / bc1;
-      const float vhat = v_[i][j] / bc2;
-      w[j] -= lr * mhat / (std::sqrt(vhat) + eps_);
-    }
-  }
-}
-
 OptimizerStateDict Adam::state_dict() {
   OptimizerStateDict d;
   d.kind = "adam";
@@ -216,7 +178,7 @@ void Lars::step(float lr) {
   // Each pair component accumulates in exactly the chunk boundaries and
   // ascending combine order of Tensor::l2_norm_sq() (kReduceGrain mirrored
   // above), so the norms — and therefore the update — are bitwise identical
-  // to step_unfused().
+  // to lars_step_ref().
   const float mu = momentum_;
   const float wd = weight_decay_;
   for (std::size_t i = 0; i < params_.size(); ++i) {
@@ -248,7 +210,7 @@ void Lars::step(float lr) {
     float trust = 1.0f;
     if (w_norm > 0.0f && g_norm > 0.0f)
       trust = eta_ * w_norm / (g_norm + wd * w_norm);
-    // step_unfused evaluates momentum_*v + trust*lr*grad left-to-right, so
+    // lars_step_ref evaluates momentum*v + trust*lr*grad left-to-right, so
     // hoisting (trust * lr) preserves the bits.
     const float tl = trust * lr;
     for (std::int64_t j = 0; j < n; ++j) {
@@ -256,26 +218,6 @@ void Lars::step(float lr) {
       const float vj = mu * v[j] + tl * grad;
       v[j] = vj;
       w[j] -= vj;
-    }
-  }
-}
-
-void Lars::step_unfused(float lr) {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    Tensor& w = p.mutable_value();
-    const Tensor& g = p.grad();
-    const float w_norm = std::sqrt(w.l2_norm_sq());
-    const float g_norm = std::sqrt(g.l2_norm_sq());
-    float trust = 1.0f;
-    if (w_norm > 0.0f && g_norm > 0.0f)
-      trust = eta_ * w_norm / (g_norm + weight_decay_ * w_norm);
-    const std::int64_t n = w.numel();
-    Tensor& v = velocity_[i];
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float grad = g[j] + weight_decay_ * w[j];
-      v[j] = momentum_ * v[j] + trust * lr * grad;
-      w[j] -= v[j];
     }
   }
 }

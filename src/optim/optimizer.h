@@ -116,11 +116,9 @@ class SgdMomentum final : public Optimizer {
               float weight_decay = 0.0f,
               MomentumSemantics semantics = MomentumSemantics::kLrOutsideMomentum);
 
+  /// Fused single-sweep update, bitwise equal to the per-element reference
+  /// sgd_momentum_step_ref() in tests/reference/optim_ref.h (refchecked).
   void step(float lr) override;
-  /// Reference per-element update. step() is a fused single-sweep kernel that
-  /// must produce exactly these bits (pinned by refcheck tests); this method
-  /// is retained as the executable specification.
-  void step_unfused(float lr);
   OptimizerStateDict state_dict() override;
 
  private:
@@ -136,9 +134,8 @@ class Adam final : public Optimizer {
   Adam(std::vector<autograd::Variable> params, float beta1 = 0.9f, float beta2 = 0.999f,
        float eps = 1e-8f, float weight_decay = 0.0f);
 
+  /// Bitwise equal to adam_step_ref() in tests/reference/optim_ref.h.
   void step(float lr) override;
-  /// Reference per-element update; step() must match it bitwise (refchecked).
-  void step_unfused(float lr);
   OptimizerStateDict state_dict() override;
 
  private:
@@ -156,9 +153,8 @@ class Lars final : public Optimizer {
   Lars(std::vector<autograd::Variable> params, float momentum = 0.9f,
        float weight_decay = 1e-4f, float eta = 0.001f);
 
+  /// Bitwise equal to lars_step_ref() in tests/reference/optim_ref.h.
   void step(float lr) override;
-  /// Reference per-element update; step() must match it bitwise (refchecked).
-  void step_unfused(float lr);
   OptimizerStateDict state_dict() override;
 
  private:

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <string>
 
+#include "reference/optim_ref.h"
 #include "tensor/rng.h"
 
 namespace mlperf::optim {
@@ -236,8 +237,8 @@ INSTANTIATE_TEST_SUITE_P(Starts, OptimizerConvergence, ::testing::Values(1, 2, 3
 
 // ---- fused-vs-unfused bitwise refchecks ------------------------------------
 //
-// step() is a fused single-sweep kernel; step_unfused() is the retained
-// per-element reference. The contract is BITWISE equality — same weights,
+// step() is a fused single-sweep kernel; the free functions in
+// tests/reference/optim_ref.h are the retained per-element references. The contract is BITWISE equality — same weights,
 // same slot buffers, after multiple steps with a decaying LR (the regime
 // where momentum semantics and accumulated state diverge fastest). The big
 // parameter exceeds the ordered-reduction chunk (1<<16 floats) so LARS's
@@ -268,46 +269,68 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b, const std::string& w
       << what;
 }
 
-template <typename Opt, typename... Args>
-void check_fused_matches_unfused(Args... args) {
+/// Runs the fused `Opt(params, args...)` and `reference_step(params, state,
+/// lr)` on twin parameters; `state` is the state_dict() of a second Opt that
+/// only holds the reference's slots (its step() never runs).
+template <typename Opt, typename RefStep, typename... Args>
+void check_fused_matches_reference(RefStep reference_step, Args... args) {
   tensor::Rng init_a(123), init_b(123);
   std::vector<Variable> pa = make_twin(init_a);
   std::vector<Variable> pb = make_twin(init_b);
   Opt fused(pa, args...);
-  Opt reference(pb, args...);
+  Opt slots(pb, args...);
+  OptimizerStateDict db = slots.state_dict();
   const float lrs[] = {0.1f, 0.1f, 0.05f, 0.05f, 0.025f, 0.0125f};
   tensor::Rng grad_a(456), grad_b(456);
   for (float lr : lrs) {
     load_grads(pa, grad_a);
     load_grads(pb, grad_b);
     fused.step(lr);
-    reference.step_unfused(lr);
+    reference_step(pb, db, lr);
   }
   for (std::size_t i = 0; i < pa.size(); ++i)
     expect_bitwise_equal(pa[i].value(), pb[i].value(), "param " + std::to_string(i));
   OptimizerStateDict da = fused.state_dict();
-  OptimizerStateDict db = reference.state_dict();
   ASSERT_EQ(da.tensors.size(), db.tensors.size());
   for (std::size_t i = 0; i < da.tensors.size(); ++i)
     expect_bitwise_equal(*da.tensors[i].second, *db.tensors[i].second, da.tensors[i].first);
+  ASSERT_EQ(da.scalars.size(), db.scalars.size());
+  for (std::size_t i = 0; i < da.scalars.size(); ++i)
+    EXPECT_EQ(*da.scalars[i].second, *db.scalars[i].second) << da.scalars[i].first;
 }
 
 TEST(FusedOptimizer, SgdLrInsideMomentumMatchesReferenceBitwise) {
-  check_fused_matches_unfused<SgdMomentum>(0.9f, 1e-4f,
-                                           MomentumSemantics::kLrInsideMomentum);
+  constexpr auto kSemantics = MomentumSemantics::kLrInsideMomentum;
+  check_fused_matches_reference<SgdMomentum>(
+      [](std::vector<Variable>& p, OptimizerStateDict& s, float lr) {
+        sgd_momentum_step_ref(p, s, lr, 0.9f, 1e-4f, kSemantics);
+      },
+      0.9f, 1e-4f, kSemantics);
 }
 
 TEST(FusedOptimizer, SgdLrOutsideMomentumMatchesReferenceBitwise) {
-  check_fused_matches_unfused<SgdMomentum>(0.9f, 1e-4f,
-                                           MomentumSemantics::kLrOutsideMomentum);
+  constexpr auto kSemantics = MomentumSemantics::kLrOutsideMomentum;
+  check_fused_matches_reference<SgdMomentum>(
+      [](std::vector<Variable>& p, OptimizerStateDict& s, float lr) {
+        sgd_momentum_step_ref(p, s, lr, 0.9f, 1e-4f, kSemantics);
+      },
+      0.9f, 1e-4f, kSemantics);
 }
 
 TEST(FusedOptimizer, AdamMatchesReferenceBitwise) {
-  check_fused_matches_unfused<Adam>(0.9f, 0.999f, 1e-8f, 1e-5f);
+  check_fused_matches_reference<Adam>(
+      [](std::vector<Variable>& p, OptimizerStateDict& s, float lr) {
+        adam_step_ref(p, s, lr, 0.9f, 0.999f, 1e-8f, 1e-5f);
+      },
+      0.9f, 0.999f, 1e-8f, 1e-5f);
 }
 
 TEST(FusedOptimizer, LarsMatchesReferenceBitwise) {
-  check_fused_matches_unfused<Lars>(0.9f, 1e-4f, 0.001f);
+  check_fused_matches_reference<Lars>(
+      [](std::vector<Variable>& p, OptimizerStateDict& s, float lr) {
+        lars_step_ref(p, s, lr, 0.9f, 1e-4f, 0.001f);
+      },
+      0.9f, 1e-4f, 0.001f);
 }
 
 }  // namespace
