@@ -156,7 +156,7 @@ void read_state(const CheckpointReader& in, const TrainingState& state) {
   ByteReader opt_in = in.section("optimizer");
   ByteReader rng_in = in.section("rng");
   ByteReader progress = in.section("progress");
-  const auto expect = [&progress](std::size_t want, const char* what) {
+  const auto expect_count = [&progress](std::size_t want, const char* what) {
     const std::uint64_t n = progress.get_u64();
     if (n != want)
       throw CheckpointError(std::string(what) + " count mismatch: checkpoint has " +
@@ -169,13 +169,13 @@ void read_state(const CheckpointReader& in, const TrainingState& state) {
                             "', workload expects '" + name + "'");
   };
   std::vector<std::int64_t> counters;
-  expect(state.counters.size(), "progress counter");
+  expect_count(state.counters.size(), "progress counter");
   for (const auto& [name, value] : state.counters) {
     expect_name(name, "progress counter");
     counters.push_back(progress.get_i64());
   }
   std::vector<std::vector<std::int64_t>> lists;
-  expect(state.index_lists.size(), "index list");
+  expect_count(state.index_lists.size(), "index list");
   for (const auto& [name, list] : state.index_lists) {
     expect_name(name, "index list");
     const std::uint64_t len = progress.get_u64();

@@ -25,6 +25,7 @@ struct TrainingState {
   optim::Optimizer* optimizer = nullptr;
   tensor::Rng* rng = nullptr;
   std::vector<std::pair<std::string, std::int64_t*>> counters;
+  // "= {}" lets a view without lists leave the member out of its braces.
   std::vector<std::pair<std::string, std::vector<std::int64_t>*>> index_lists = {};
 };
 
