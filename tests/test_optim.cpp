@@ -235,12 +235,13 @@ TEST_P(OptimizerConvergence, ReducesQuadraticLoss) {
 
 INSTANTIATE_TEST_SUITE_P(Starts, OptimizerConvergence, ::testing::Values(1, 2, 3, -4, 5, -6));
 
-// ---- fused-vs-unfused bitwise refchecks ------------------------------------
+// ---- fused-vs-reference bitwise refchecks ----------------------------------
 //
 // step() is a fused single-sweep kernel; the free functions in
-// tests/reference/optim_ref.h are the retained per-element references. The contract is BITWISE equality — same weights,
-// same slot buffers, after multiple steps with a decaying LR (the regime
-// where momentum semantics and accumulated state diverge fastest). The big
+// tests/reference/optim_ref.h are the retained per-element references. The
+// contract is BITWISE equality — same weights, same slot buffers, after
+// multiple steps with a decaying LR (the regime where momentum semantics and
+// accumulated state diverge fastest). The big
 // parameter exceeds the ordered-reduction chunk (1<<16 floats) so LARS's
 // fused pair-norm exercises the multi-chunk combine path.
 
