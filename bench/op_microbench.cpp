@@ -81,7 +81,8 @@ static void gemm_shape_body(benchmark::State& state, bool use_ref) {
     if (use_ref)
       tensor::gemm_accumulate_ref(a.data(), b.data(), c.data(), m, k, n);
     else
-      tensor::gemm_accumulate(a.data(), b.data(), c.data(), m, k, n);
+      tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::N, m, n, k, a.data(), k, b.data(),
+                              n, c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
@@ -156,10 +157,11 @@ static void BM_Conv2dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
 
-// Threaded variants: same kernels through the parallel_for partitioner with a
-// worker pool of range(1) threads. The output is bitwise identical across the
-// thread counts (asserted in tests/test_parallel.cpp); only the wall time may
-// move. Thread count 1 keeps the pool absent, i.e. the inline path above.
+// Threaded variants: same kernels through the parallel_for partitioner at
+// range(1) threads (the caller plus range(1)-1 workers). The output is
+// bitwise identical across the thread counts (asserted in
+// tests/test_parallel.cpp); only the wall time may move. Thread count 1
+// starts no worker, i.e. the inline path above.
 static void BM_GemmThreaded(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   parallel::set_num_threads(state.range(1));

@@ -6,8 +6,9 @@
 // where benchmark is one of: image_classification, object_detection_light,
 // object_detection_heavy, translation_recurrent, translation_nonrecurrent,
 // recommendation, reinforcement_learning (default: recommendation — the
-// fastest one), and num_threads sizes the intra-op worker pool (default 1;
-// the result is bitwise identical at any value). Flags:
+// fastest one), and num_threads counts the threads doing kernel work: this
+// one plus num_threads-1 workers (default 1, no worker; the result is
+// bitwise identical at any value). Flags:
 //
 //   --checkpoint_every_n_epochs=N  write a full-state checkpoint every N epochs
 //   --checkpoint_path=FILE         where to write it (default quickstart.ckpt)

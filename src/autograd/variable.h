@@ -104,7 +104,8 @@ class NoGradGuard {
 /// `tensor::ScratchArena::Frame`: open one around a training step
 /// (forward + backward + update). On close it records the TensorPool
 /// hit/miss deltas observed during the step, which the steady-state
-/// zero-allocation pin tests and the harness's pool-stats run event read.
+/// zero-allocation pin tests read (the harness's pool-stats run event reads
+/// `TensorPool::stats()` directly).
 /// The recycling itself is unconditional: `Variable::backward()` severs the
 /// spent graph as its final act, returning interior value/grad buffers and
 /// backward-closure captures to the pool whether or not an epoch is open.

@@ -1,10 +1,9 @@
 #pragma once
 
-#include <memory>
+#include <future>
 
 #include "data/augment.h"
 #include "data/dataset.h"
-#include "parallel/thread_pool.h"
 
 namespace mlperf::data {
 
@@ -22,20 +21,18 @@ struct ImageBatch {
 /// the timed portion of training (paper §3.2.1).
 ///
 /// With `prefetch` enabled the loader double-buffers: batch k+1 is augmented
-/// and assembled on the global parallel::ThreadPool while batch k trains.
-/// The shuffle order is unchanged, and each batch's augmentation draws come
-/// from a child Rng split off the run Rng on the consumer thread, in batch
-/// order — so a fixed seed yields the same batches at any thread count (and
-/// with no pool at all), just not the same draws as the non-prefetch path,
-/// which threads one Rng through every example.
+/// and assembled by a std::async task while batch k trains (a deferred one,
+/// run on the consumer when the batch is taken, at one thread). The shuffle
+/// order is unchanged, and each batch's augmentation draws come from a child
+/// Rng split off the run Rng on the consumer thread, in batch order — so a
+/// fixed seed yields the same batches at any thread count, just not the same
+/// draws as the non-prefetch path, which threads one Rng through every
+/// example.
 class ImageLoader {
  public:
   ImageLoader(const ReformattedImageSet& set, std::int64_t batch_size,
               const AugmentationPipeline* augment, tensor::Rng& rng, bool drop_last = false,
               bool prefetch = false);
-
-  /// Waits for any in-flight prefetch before tearing down.
-  ~ImageLoader();
 
   ImageLoader(const ImageLoader&) = delete;
   ImageLoader& operator=(const ImageLoader&) = delete;
@@ -57,7 +54,9 @@ class ImageLoader {
   /// Block until any in-flight prefetched batch has been fully assembled
   /// (the batch stays pending for the next next()). A checkpoint must drain
   /// the loader before snapshotting so no producer task is still running.
-  void drain() const { wait_inflight(); }
+  void drain() const {
+    if (pending_.valid()) pending_.wait();
+  }
   /// True when every batch of the current epoch has been consumed — the only
   /// position at which the traversal state is checkpointable: between
   /// epochs the entire traversal is a pure function of the run Rng, so a
@@ -68,11 +67,8 @@ class ImageLoader {
   bool epoch_exhausted() const;
 
  private:
-  struct Inflight;
-
   /// Kick off assembly of the next batch (prefetch mode). Advances cursor_.
   void schedule_next();
-  void wait_inflight() const;
   /// Build the batch for shuffle positions [begin, end); `rng` drives the
   /// augmentation draws (ignored without an augmentation pipeline). Reads
   /// only epoch state that is frozen while a batch is in flight, so it is
@@ -88,7 +84,10 @@ class ImageLoader {
   std::vector<std::size_t> order_;
   std::int64_t cursor_ = 0;
   std::int64_t limit_ = 0;
-  std::shared_ptr<Inflight> inflight_;  // non-null = one batch pending/ready
+  /// Valid = one batch pending or ready. Declared last so that it is
+  /// destroyed first: an async task's future blocks until the task, which
+  /// reads the members above, has finished.
+  std::future<ImageBatch> pending_;
 };
 
 /// Assemble a batch tensor from (already augmented) examples.

@@ -64,11 +64,13 @@ struct RunOptions {
   /// Evaluate every N epochs (quality is "evaluated at prescribed
   /// intervals", §4.1). 1 = every epoch; values below 1 are rejected.
   std::int64_t eval_interval = 1;
-  /// Intra-op worker threads for the tensor kernels and the prefetching
-  /// loader (parallel::set_num_threads). 1 = the exact single-threaded
-  /// pre-parallelism execution. A system knob, not a hyperparameter: the
-  /// kernels partition work so the trained model is bitwise independent of
-  /// this value (paper §2.2.3 treats nondeterminism as a variance source).
+  /// Threads doing tensor-kernel work (parallel::set_num_threads): the
+  /// calling thread plus num_threads-1 team workers; above 1 the
+  /// prefetching loader also assembles batches on its own thread. 1 = the
+  /// exact single-threaded pre-parallelism execution, with no thread
+  /// started. A system knob, not a hyperparameter: the kernels partition
+  /// work so the trained model is bitwise independent of this value (paper
+  /// §2.2.3 treats nondeterminism as a variance source).
   std::int64_t num_threads = 1;
   /// Write a full-state checkpoint to `checkpoint_path` after every N
   /// completed epochs (0 = never). Checkpoint writes happen inside the timed

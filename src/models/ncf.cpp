@@ -68,7 +68,6 @@ void NcfWorkload::train_epoch() {
   std::vector<float> labels;
   auto flush = [&] {
     if (users.empty()) return;
-    autograd::GraphEpoch epoch_scope;  // step-scoped pool instrumentation
     Variable logits = model_->forward(users, items);
     Variable loss = nn::bce_with_logits(logits, labels);
     optimizer_->zero_grad();

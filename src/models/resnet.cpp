@@ -116,9 +116,6 @@ void ResNetWorkload::train_epoch() {
   const bool quantized = config_.weight_format != numerics::Format::kFP32;
   std::vector<autograd::Variable> params = model_->parameters();
   while (loader.has_next()) {
-    // Step-scoped pool instrumentation: after warm-up every buffer this step
-    // allocates should come from the pool (GraphEpoch::last_pool_misses()==0).
-    autograd::GraphEpoch epoch_scope;
     data::ImageBatch batch = loader.next();
     // Figure-1 emulation: master weights stay fp32; forward/backward see the
     // quantized copy, and the update is re-quantized afterwards.

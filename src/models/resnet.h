@@ -82,7 +82,7 @@ class ResNetWorkload : public Workload {
     optim::MomentumSemantics momentum_semantics =
         optim::MomentumSemantics::kLrOutsideMomentum;
     /// Double-buffer the training loader: batch k+1 is augmented/assembled
-    /// on the parallel::ThreadPool while batch k trains. Deterministic for a
+    /// in a std::async task while batch k trains. Deterministic for a
     /// fixed seed at any thread count, but a different (per-batch split)
     /// augmentation stream than the default in-line loader — so it defaults
     /// off to keep legacy trajectories bit-for-bit.

@@ -169,7 +169,6 @@ void TransformerWorkload::build_model(std::uint64_t seed) {
 void TransformerWorkload::train_epoch() {
   if (!data_ || !model_) throw std::logic_error("TransformerWorkload: not prepared");
   data_->train_epoch(rng_, [this](const data::TranslationBatch& b) {
-    autograd::GraphEpoch epoch_scope;  // step-scoped pool instrumentation
     Variable logits = model_->decode(b.tgt_in, model_->encode(b.src));
     Variable loss = config_.label_smoothing > 0.0f
                         ? nn::smoothed_cross_entropy(logits, b.targets, config_.label_smoothing)

@@ -2,39 +2,48 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
-
-#include "parallel/thread_pool.h"
 
 namespace mlperf::parallel {
 
-/// Intra-op parallelism knob. `n` counts worker threads doing tensor work;
-/// 1 (the default) means everything runs inline on the calling thread,
-/// exactly as the pre-parallelism code did. Call from the main thread while
-/// no parallel work is in flight (e.g. before harness::run_to_target) — the
-/// global pool is torn down and rebuilt here, which is not safe mid-op.
+/// Intra-op parallelism knob. `n` counts the threads doing tensor work: the
+/// calling thread plus n-1 team workers; 1 (the default) starts no thread and
+/// everything runs inline on the caller, exactly as the pre-parallelism code
+/// did. Call from the main thread while no parallel work is in flight (e.g.
+/// before harness::run_to_target) — the team is torn down and rebuilt here,
+/// which is not safe mid-op.
 void set_num_threads(std::int64_t n);
 std::int64_t num_threads();
 
-/// The process-wide pool backing parallel_for and the prefetching data
-/// loader. nullptr while num_threads() <= 1.
-ThreadPool* global_pool();
+namespace detail {
+using RangeFn = void (*)(const void* ctx, std::int64_t begin, std::int64_t end);
+/// Splits [0, range) over the team and runs fn(ctx, ...) on every part,
+/// part 0 on the caller. Returns false, having run nothing, when the call
+/// should run inline: one thread, one chunk, or the team already busy.
+bool fork_join(std::int64_t grain, std::int64_t range, RangeFn fn, const void* ctx);
+}  // namespace detail
 
 /// Invoke fn(begin, end) on disjoint contiguous subranges covering
-/// [0, range), in parallel on the global pool.
+/// [0, range): the caller runs the first and team worker w runs part w+1.
 ///
 /// Subrange boundaries always fall on multiples of `grain`, and the static
-/// contiguous partition is fixed before any task runs — there is no work
-/// stealing and no dynamic re-splitting. Ops whose elements are computed
-/// independently (disjoint writes, per-element accumulation order unchanged)
-/// are therefore bitwise identical at any thread count, including the
-/// inline single-threaded path. Exceptions thrown by fn are rethrown on the
-/// calling thread (first failing subrange wins). Runs inline when the pool
-/// is absent, when only one subrange exists, or when already on a pool
-/// worker (nested parallelism).
-void parallel_for(std::int64_t grain, std::int64_t range,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn);
+/// contiguous partition (min(chunks, num_threads()) parts) is fixed before
+/// any part runs — there is no work stealing and no dynamic re-splitting.
+/// Ops whose elements are computed independently (disjoint writes,
+/// per-element accumulation order unchanged) are therefore bitwise identical
+/// at any thread count, including the inline single-threaded path.
+/// Exceptions thrown by fn are rethrown on the calling thread once every
+/// part has finished (the lowest failing part wins). Runs inline at one
+/// thread, when only one subrange exists, or when the team is busy — a
+/// nested call from inside any part, or a call from a second thread.
+template <typename Fn>
+void parallel_for(std::int64_t grain, std::int64_t range, const Fn& fn) {
+  if (range <= 0) return;
+  const detail::RangeFn call = [](const void* ctx, std::int64_t begin, std::int64_t end) {
+    (*static_cast<const Fn*>(ctx))(begin, end);
+  };
+  if (!detail::fork_join(grain, range, call, &fn)) fn(std::int64_t{0}, range);
+}
 
 /// Deterministic ordered reduction over [0, range).
 ///

@@ -360,11 +360,6 @@ void gemm_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::in
   gemm_packed(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
-void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
-                     std::int64_t n) {
-  gemm_accumulate(Trans::N, Trans::N, m, n, k, a, k, b, n, c, n);
-}
-
 void gemm_f64acc(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
                  const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
                  std::int64_t ldc) {

@@ -124,20 +124,17 @@ void gemm_packed(Trans ta, const float* a, std::int64_t lda, const float* bp, st
 
 /// One-call form: packs op(B) into the calling thread's scratch arena, then
 /// runs gemm_packed. C[m,n] += op(A)[m,k] * op(B)[k,n].
+///
+/// Bitwise identical to the retained scalar reference kernel
+/// (gemm_accumulate_ref, tests/reference): one accumulator per C element,
+/// ascending k. The refcheck contract (tests/test_gemm.cpp) is EXACT BITWISE
+/// EQUALITY — a 0-ULP tolerance. Any future kernel that reorders the
+/// summation (k-splitting, multiple accumulators, FMA-only paths) must widen
+/// the documented tolerance in EXPERIMENTS.md and relax the test in the same
+/// change.
 void gemm_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
                      const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
                      std::int64_t ldc);
-
-/// Back-compat entry point: C[m,n] += A[m,k] * B[k,n], all contiguous
-/// row-major. Bitwise identical to the retained scalar reference kernel
-/// (gemm_accumulate_ref, tests/reference): blocked i-k-j loops, one
-/// accumulator per C element, ascending k. The refcheck contract
-/// (tests/test_gemm.cpp) is EXACT BITWISE EQUALITY — a 0-ULP tolerance. Any
-/// future kernel that reorders the summation (k-splitting, multiple
-/// accumulators, FMA-only paths) must widen the documented tolerance in
-/// EXPERIMENTS.md and relax the test in the same change.
-void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
-                     std::int64_t n);
 
 /// Packed, cache-blocked GEMM with DOUBLE accumulators — the conv2d weight
 /// gradient kernel. OVERWRITE semantics:

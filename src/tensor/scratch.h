@@ -20,8 +20,8 @@ namespace mlperf::tensor {
 ///
 /// Not thread-safe; each thread uses its own instance via tls(). Scratch
 /// written by the calling thread before a parallel_for (e.g. a shared packed
-/// B panel) may be read by pool workers: task dispatch/join provides the
-/// happens-before edges.
+/// B panel) may be read by the team's workers: the fork and the join provide
+/// the happens-before edges.
 class ScratchArena {
  public:
   class Frame {

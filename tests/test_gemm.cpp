@@ -91,7 +91,8 @@ TEST_F(GemmTest, PackedMatchesRefBitwise) {
     // Nonzero initial C: the kernel contract is accumulation, not overwrite.
     for (std::int64_t i = 0; i < want.numel(); ++i) want[i] = got[i] = 0.25f * float(i % 7) - 0.5f;
     tensor::gemm_accumulate_ref(a.data(), b.data(), want.data(), s.m, s.k, s.n);
-    tensor::gemm_accumulate(a.data(), b.data(), got.data(), s.m, s.k, s.n);
+    tensor::gemm_accumulate(Trans::N, Trans::N, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
+                            got.data(), s.n);
     EXPECT_EQ(0, max_ulp_distance(want.vec(), got.vec()))
         << "m=" << s.m << " k=" << s.k << " n=" << s.n;
     expect_bitwise_equal(want, got, "packed vs ref");

@@ -1,14 +1,16 @@
-// Tests for the parallel execution layer (src/parallel): pool lifecycle,
+// Tests for the parallel execution layer (src/parallel): the fork-join team,
 // the deterministic parallel_for/parallel_reduce contracts, and — the hard
 // requirement — bitwise-identical kernel outputs at any thread count.
 #include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "data/dataset.h"
@@ -29,64 +31,50 @@ class ParallelTest : public ::testing::Test {
   void TearDown() override { set_num_threads(1); }
 };
 
-TEST_F(ParallelTest, PoolRunsEnqueuedTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.num_workers(), 3);
-    for (int i = 0; i < 64; ++i)
-      pool.enqueue([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }  // destructor drains the queue before joining
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST_F(ParallelTest, ZeroWorkerPoolRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 0);
-  bool ran = false;
-  pool.enqueue([&ran] { ran = true; });
-  EXPECT_TRUE(ran);  // no workers -> enqueue executes on the caller
-}
-
-TEST_F(ParallelTest, OnWorkerThreadFlag) {
-  EXPECT_FALSE(ThreadPool::on_worker_thread());
-  std::atomic<bool> on_worker{false};
-  std::atomic<bool> done{false};
-  ThreadPool pool(1);
-  pool.enqueue([&] {
-    on_worker.store(ThreadPool::on_worker_thread());
-    done.store(true);
-  });
-  while (!done.load()) {}
-  EXPECT_TRUE(on_worker.load());
-  EXPECT_FALSE(ThreadPool::on_worker_thread());
-}
-
-TEST_F(ParallelTest, SetNumThreadsControlsGlobalPool) {
+TEST_F(ParallelTest, SetNumThreadsSizesTheTeam) {
   EXPECT_EQ(num_threads(), 1);
-  EXPECT_EQ(global_pool(), nullptr);
-  set_num_threads(4);
-  EXPECT_EQ(num_threads(), 4);
-  ASSERT_NE(global_pool(), nullptr);
-  EXPECT_EQ(global_pool()->num_workers(), 4);  // caller blocks; pool holds all n
-  set_num_threads(1);
-  EXPECT_EQ(global_pool(), nullptr);
+  for (std::int64_t threads : {1, 2, 4}) {
+    set_num_threads(threads);
+    EXPECT_EQ(num_threads(), threads);
+    // One chunk per thread: the caller runs part 0 and each of the n-1
+    // workers one more part.
+    std::vector<std::thread::id> ran_on(static_cast<std::size_t>(threads));
+    parallel_for(1, threads, [&](std::int64_t begin, std::int64_t end) {
+      for (std::int64_t i = begin; i < end; ++i)
+        ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    EXPECT_EQ(std::set<std::thread::id>(ran_on.begin(), ran_on.end()).size(),
+              static_cast<std::size_t>(threads));
+  }
   EXPECT_THROW(set_num_threads(0), std::invalid_argument);
 }
 
 TEST_F(ParallelTest, ParallelForCoversRangeExactlyOnce) {
-  for (std::int64_t threads : {1, 2, 4}) {
-    set_num_threads(threads);
-    for (std::int64_t range : {std::int64_t{1}, std::int64_t{7}, std::int64_t{1000}}) {
-      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(range));
-      for (auto& h : hits) h.store(0);
-      parallel_for(3, range, [&](std::int64_t begin, std::int64_t end) {
-        ASSERT_LE(std::int64_t{0}, begin);
-        ASSERT_LE(begin, end);
-        ASSERT_LE(end, range);
-        for (std::int64_t i = begin; i < end; ++i) hits[static_cast<std::size_t>(i)]++;
-      });
-      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // With two callers at once, one of them finds the team busy and runs its
+  // calls inline; both must still cover their ranges exactly once.
+  for (int callers : {1, 2}) {
+    for (std::int64_t threads : {1, 2, 4}) {
+      set_num_threads(threads);
+      auto cover = [](std::int64_t range) {
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(range));
+        for (auto& h : hits) h.store(0);
+        parallel_for(3, range, [&](std::int64_t begin, std::int64_t end) {
+          ASSERT_LE(std::int64_t{0}, begin);
+          ASSERT_LE(begin, end);
+          ASSERT_LE(end, range);
+          for (std::int64_t i = begin; i < end; ++i) hits[static_cast<std::size_t>(i)]++;
+        });
+        for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+      };
+      auto sweep = [&] {
+        for (int rep = 0; rep < 50; ++rep)
+          for (std::int64_t range : {std::int64_t{1}, std::int64_t{7}, std::int64_t{1000}})
+            cover(range);
+      };
+      std::vector<std::thread> threads_out;
+      for (int c = 0; c < callers; ++c) threads_out.emplace_back(sweep);
+      for (auto& t : threads_out) t.join();
     }
   }
 }
@@ -112,18 +100,30 @@ TEST_F(ParallelTest, SingleElementRange) {
 
 TEST_F(ParallelTest, ExceptionPropagatesAndPoolStaysUsable) {
   set_num_threads(4);
-  EXPECT_THROW(
-      parallel_for(1, 100,
-                   [](std::int64_t begin, std::int64_t) {
-                     if (begin >= 50) throw std::runtime_error("boom");
-                   }),
-      std::runtime_error);
-  // The pool must survive a throwing body and keep serving work.
-  std::atomic<std::int64_t> total{0};
-  parallel_for(1, 100, [&](std::int64_t begin, std::int64_t end) {
-    total.fetch_add(end - begin, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(total.load(), 100);
+  // A throwing worker part, and a throwing caller part (part 0, which also
+  // must not return before the workers are done with `fn`).
+  for (std::int64_t first_bad : {50, 0}) {
+    EXPECT_THROW(parallel_for(1, 100,
+                              [&](std::int64_t begin, std::int64_t) {
+                                if (begin >= first_bad) throw std::runtime_error("boom");
+                              }),
+                 std::runtime_error);
+    // The team must survive a throwing body and keep serving work.
+    std::atomic<std::int64_t> total{0};
+    parallel_for(1, 100, [&](std::int64_t begin, std::int64_t end) {
+      total.fetch_add(end - begin, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(total.load(), 100);
+  }
+  // Every part throws: the lowest part's exception is the one rethrown.
+  try {
+    parallel_for(1, 100, [](std::int64_t begin, std::int64_t) {
+      throw std::runtime_error(std::to_string(begin));
+    });
+    ADD_FAILURE() << "parallel_for did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "0");
+  }
 }
 
 TEST_F(ParallelTest, NestedParallelForRunsInline) {
@@ -131,8 +131,10 @@ TEST_F(ParallelTest, NestedParallelForRunsInline) {
   std::vector<std::atomic<int>> hits(64);
   for (auto& h : hits) h.store(0);
   parallel_for(1, 8, [&](std::int64_t ob, std::int64_t oe) {
+    const std::thread::id outer = std::this_thread::get_id();
     for (std::int64_t o = ob; o < oe; ++o)
       parallel_for(1, 8, [&](std::int64_t ib, std::int64_t ie) {
+        EXPECT_EQ(std::this_thread::get_id(), outer);  // the team is busy: inline
         for (std::int64_t i = ib; i < ie; ++i) hits[static_cast<std::size_t>(o * 8 + i)]++;
       });
   });
