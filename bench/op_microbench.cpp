@@ -102,9 +102,10 @@ BENCHMARK(BM_GemmShapeRef)
 
 // Each kernel build the binary carries (tensor::detail::gemm_variants(), Arg
 // 0 = widest) at the MiniGo conv shape, for the float kernel (Arg 1 = 0) and
-// the double-accumulator dW kernel (Arg 1 = 1). Puts the avx512-vs-avx2-vs-
-// default speedup on one binary and one host. main() registers one row per
-// build this CPU can run.
+// the double-accumulator dW kernel (Arg 1 = 1), both on the same B panels
+// packed once outside the timed loop. Puts the avx512-vs-avx2-vs-default
+// speedup on one binary and one host. main() registers one row per build
+// this CPU can run.
 static void BM_GemmVariant(benchmark::State& state) {
   const tensor::detail::GemmVariant& v =
       tensor::detail::gemm_variants()[static_cast<std::size_t>(state.range(0))];
@@ -119,8 +120,7 @@ static void BM_GemmVariant(benchmark::State& state) {
   const bool f64acc = state.range(1) != 0;
   for (auto _ : state) {
     if (f64acc)
-      v.f64acc(tensor::Trans::N, tensor::Trans::N, m, n, k, a.data(), k, b.data(), n, c.data(),
-               n);
+      v.f64acc_packed(tensor::Trans::N, a.data(), k, bp.data(), m, n, k, c.data(), n);
     else
       v.packed(tensor::Trans::N, a.data(), k, bp.data(), m, n, k, c.data(), n);
     benchmark::DoNotOptimize(c.data());
@@ -216,7 +216,7 @@ static void BM_Conv2dTrainStep(benchmark::State& state) {
 BENCHMARK(BM_Conv2dTrainStep)->Arg(8)->Arg(16);
 
 // The weight-gradient pass in isolation (forward excluded via PauseTiming):
-// the gemm_f64acc + pack-cache target of PR 5, previously a naive unblocked
+// gemm_f64acc_packed on cached panels, which replaced a naive unblocked
 // double dot-product loop plus a per-sample im2col re-pack.
 static void BM_Conv2dDw(benchmark::State& state) {
   const std::int64_t c = state.range(0);

@@ -205,40 +205,11 @@ Variable add(const Variable& a, const Variable& b) {
       [](const Tensor& g, const Variable&, const Variable&) { return g; });
 }
 
-Variable sub(const Variable& a, const Variable& b) {
-  return broadcast_binary(
-      a, b, std::minus<float>{},
-      [](const Tensor& g, const Variable&, const Variable&) { return g; },
-      [](const Tensor& g, const Variable&, const Variable&) { return g.neg(); });
-}
-
 Variable mul(const Variable& a, const Variable& b) {
   return broadcast_binary(
       a, b, std::multiplies<float>{},
       [](const Tensor& g, const Variable&, const Variable& bb) { return g.mul(bb.value()); },
       [](const Tensor& g, const Variable& aa, const Variable&) { return g.mul(aa.value()); });
-}
-
-Variable div(const Variable& a, const Variable& b) {
-  return broadcast_binary(
-      a, b, std::divides<float>{},
-      [](const Tensor& g, const Variable&, const Variable& bb) { return g.div(bb.value()); },
-      [](const Tensor& g, const Variable& aa, const Variable& bb) {
-        // d/db (a/b) = -a / b^2
-        return g.mul(aa.value()).div(bb.value().mul(bb.value())).neg();
-      });
-}
-
-Variable neg(const Variable& a) {
-  auto an = a.node();
-  return Variable::from_op(a.value().neg(), {a},
-                           [an](const Tensor& g) { an->accumulate_grad(g.neg()); });
-}
-
-Variable add_scalar(const Variable& a, float s) {
-  auto an = a.node();
-  return Variable::from_op(a.value().add_scalar(s), {a},
-                           [an](const Tensor& g) { an->accumulate_grad(g); });
 }
 
 Variable mul_scalar(const Variable& a, float s) {
@@ -334,28 +305,6 @@ Variable sigmoid(const Variable& a) {
   });
 }
 
-Variable exp_op(const Variable& a) {
-  Tensor y = a.value().exp();
-  auto an = a.node();
-  return Variable::from_op(y, {a},
-                           [an, y](const Tensor& g) { an->accumulate_grad(g.mul(y)); });
-}
-
-Variable log_op(const Variable& a) {
-  auto an = a.node();
-  return Variable::from_op(a.value().log(), {a},
-                           [an](const Tensor& g) { an->accumulate_grad(g.div(an->value)); });
-}
-
-Variable sqrt_op(const Variable& a) {
-  Tensor y = a.value().sqrt();
-  auto an = a.node();
-  return Variable::from_op(y, {a}, [an, y](const Tensor& g) {
-    an->accumulate_grad(
-        g.binary(y, [](float gv, float yv) { return yv > 0.0f ? gv / (2.0f * yv) : 0.0f; }));
-  });
-}
-
 Variable reshape(const Variable& a, Shape shape) {
   Tensor out = a.value().reshape(std::move(shape));
   auto an = a.node();
@@ -410,34 +359,6 @@ Variable sum_all(const Variable& a) {
   return Variable::from_op(std::move(out), {a}, [an](const Tensor& g) {
     an->accumulate_grad(Tensor(an->value.shape(), g[0]));
   });
-}
-
-Variable mean_all(const Variable& a) {
-  const float inv = 1.0f / static_cast<float>(a.numel());
-  Tensor out = Tensor::scalar(a.value().mean());
-  auto an = a.node();
-  return Variable::from_op(std::move(out), {a}, [an, inv](const Tensor& g) {
-    an->accumulate_grad(Tensor(an->value.shape(), g[0] * inv));
-  });
-}
-
-Variable sum_axis(const Variable& a, std::int64_t axis, bool keepdim) {
-  Tensor out = a.value().sum_axis(axis, keepdim);
-  auto an = a.node();
-  std::int64_t ax = axis < 0 ? axis + a.value().ndim() : axis;
-  return Variable::from_op(std::move(out), {a}, [an, ax](const Tensor& g) {
-    // Re-expand g along the reduced axis by broadcasting a keepdim view.
-    Shape kshape = an->value.shape();
-    kshape[static_cast<std::size_t>(ax)] = 1;
-    Tensor gk = g.reshape(kshape);
-    an->accumulate_grad(Tensor(an->value.shape()).add(gk));
-  });
-}
-
-Variable mean_axis(const Variable& a, std::int64_t axis, bool keepdim) {
-  std::int64_t ax = axis < 0 ? axis + a.value().ndim() : axis;
-  const float inv = 1.0f / static_cast<float>(a.value().size(ax));
-  return mul_scalar(sum_axis(a, axis, keepdim), inv);
 }
 
 Variable softmax_last(const Variable& a) {
@@ -515,7 +436,5 @@ Variable embedding(const Variable& table, const std::vector<std::int64_t>& indic
     tn->accumulate_grad(std::move(dt));
   });
 }
-
-Variable detach(const Variable& a) { return Variable(a.value(), false); }
 
 }  // namespace mlperf::autograd

@@ -59,7 +59,6 @@ class Variable {
   /// Gradient; zero tensor of the value's shape if nothing accumulated yet.
   const tensor::Tensor& grad() const;
   bool requires_grad() const { return node_->requires_grad; }
-  void set_requires_grad(bool rg) { node_->requires_grad = rg; }
   void zero_grad();
 
   const tensor::Shape& shape() const { return node_->value.shape(); }
@@ -130,11 +129,7 @@ class GraphEpoch {
 // All binary ops broadcast like tensor::Tensor::binary and reduce gradients
 // back to each parent's shape.
 Variable add(const Variable& a, const Variable& b);
-Variable sub(const Variable& a, const Variable& b);
 Variable mul(const Variable& a, const Variable& b);
-Variable div(const Variable& a, const Variable& b);
-Variable neg(const Variable& a);
-Variable add_scalar(const Variable& a, float s);
 Variable mul_scalar(const Variable& a, float s);
 /// Matrix product op(a) x op(b) with either operand consumed transposed in
 /// place (no materialized transpose, forward or backward: gradients are
@@ -154,22 +149,14 @@ Variable relu(const Variable& a);
 Variable add_relu(const Variable& a, const Variable& b);
 Variable tanh_op(const Variable& a);
 Variable sigmoid(const Variable& a);
-Variable exp_op(const Variable& a);
-Variable log_op(const Variable& a);
-Variable sqrt_op(const Variable& a);
 Variable reshape(const Variable& a, tensor::Shape shape);
 Variable permute(const Variable& a, const std::vector<std::int64_t>& dims);
 Variable slice0(const Variable& a, std::int64_t begin, std::int64_t end);
 Variable cat0(const std::vector<Variable>& parts);
 Variable sum_all(const Variable& a);
-Variable mean_all(const Variable& a);
-Variable sum_axis(const Variable& a, std::int64_t axis, bool keepdim = false);
-Variable mean_axis(const Variable& a, std::int64_t axis, bool keepdim = false);
 Variable softmax_last(const Variable& a);
 Variable log_softmax_last(const Variable& a);
 /// Row lookup: table is [V, D]; indices selects rows -> [n, D].
 Variable embedding(const Variable& table, const std::vector<std::int64_t>& indices);
-/// Stop-gradient: value flows, gradient does not.
-Variable detach(const Variable& a);
 
 }  // namespace mlperf::autograd

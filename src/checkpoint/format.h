@@ -52,7 +52,6 @@ class ByteWriter {
   void put_u32(std::uint32_t v) { put_raw(&v, sizeof(v)); }
   void put_u64(std::uint64_t v) { put_raw(&v, sizeof(v)); }
   void put_i64(std::int64_t v) { put_raw(&v, sizeof(v)); }
-  void put_f32(float v) { put_raw(&v, sizeof(v)); }
   void put_f64(double v) { put_raw(&v, sizeof(v)); }
   void put_bool(bool v) { put_u32(v ? 1 : 0); }
   void put_string(const std::string& s) {
@@ -81,7 +80,6 @@ class ByteReader {
   std::uint32_t get_u32() { return get_pod<std::uint32_t>(); }
   std::uint64_t get_u64() { return get_pod<std::uint64_t>(); }
   std::int64_t get_i64() { return get_pod<std::int64_t>(); }
-  float get_f32() { return get_pod<float>(); }
   double get_f64() { return get_pod<double>(); }
   bool get_bool() { return get_u32() != 0; }
   std::string get_string();
@@ -91,7 +89,6 @@ class ByteReader {
 
   std::size_t remaining() const { return size_ - offset_; }
   bool done() const { return offset_ == size_; }
-  const std::string& section_name() const { return section_; }
 
  private:
   template <typename T>

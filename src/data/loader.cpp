@@ -35,11 +35,6 @@ bool ImageLoader::has_next() const {
 
 bool ImageLoader::epoch_exhausted() const { return cursor_ >= limit_ && !has_next(); }
 
-std::int64_t ImageLoader::batches_per_epoch() const {
-  if (drop_last_) return set_->size() / batch_size_;
-  return (set_->size() + batch_size_ - 1) / batch_size_;
-}
-
 ImageBatch ImageLoader::assemble(std::int64_t begin, std::int64_t end, tensor::Rng& rng) const {
   const std::int64_t n = end - begin;
   const ImageExample& first =
@@ -92,24 +87,6 @@ ImageBatch ImageLoader::next() {
   const std::int64_t end = std::min(cursor_ + batch_size_, limit_);
   ImageBatch batch = assemble(cursor_, end, *rng_);
   cursor_ = end;
-  return batch;
-}
-
-ImageBatch make_batch(const std::vector<const ImageExample*>& examples) {
-  if (examples.empty()) throw std::invalid_argument("make_batch: empty");
-  const auto& ishape = examples[0]->image.shape();
-  const std::int64_t n = static_cast<std::int64_t>(examples.size());
-  ImageBatch batch;
-  // Fully overwritten by the copies below — pooled, no zero-fill.
-  batch.images = Tensor::uninitialized({n, ishape[0], ishape[1], ishape[2]});
-  batch.labels.resize(examples.size());
-  const std::int64_t img_numel = examples[0]->image.numel();
-  for (std::int64_t b = 0; b < n; ++b) {
-    const auto* ex = examples[static_cast<std::size_t>(b)];
-    std::copy(ex->image.vec().begin(), ex->image.vec().end(),
-              batch.images.vec().begin() + b * img_numel);
-    batch.labels[static_cast<std::size_t>(b)] = ex->label;
-  }
   return batch;
 }
 

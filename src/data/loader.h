@@ -46,10 +46,6 @@ class ImageLoader {
   /// Next minibatch; the last one may be smaller unless drop_last.
   ImageBatch next();
 
-  std::int64_t batches_per_epoch() const;
-
-  bool prefetch_enabled() const { return prefetch_; }
-
   /// ---- checkpoint support -----------------------------------------------
   /// Block until any in-flight prefetched batch has been fully assembled
   /// (the batch stays pending for the next next()). A checkpoint must drain
@@ -89,8 +85,5 @@ class ImageLoader {
   /// reads the members above, has finished.
   std::future<ImageBatch> pending_;
 };
-
-/// Assemble a batch tensor from (already augmented) examples.
-ImageBatch make_batch(const std::vector<const ImageExample*>& examples);
 
 }  // namespace mlperf::data

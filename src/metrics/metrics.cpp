@@ -164,9 +164,4 @@ double hit_rate_at_k(const std::vector<std::vector<float>>& scores, std::int64_t
   return static_cast<double>(hits) / static_cast<double>(scores.size());
 }
 
-double move_prediction_accuracy(const std::vector<std::int64_t>& predicted_moves,
-                                const std::vector<std::int64_t>& reference_moves) {
-  return top1_accuracy(predicted_moves, reference_moves);
-}
-
 }  // namespace mlperf::metrics

@@ -8,7 +8,8 @@
 
 namespace mlperf::metrics {
 
-/// Fraction of rows whose argmax matches the target (Table 1: ResNet quality).
+/// Fraction of predictions equal to their target (Table 1: ResNet top-1 and
+/// MiniGo move prediction). Throws on empty or mismatched inputs.
 double top1_accuracy(const std::vector<std::int64_t>& predictions,
                      const std::vector<std::int64_t>& targets);
 
@@ -48,10 +49,6 @@ double bleu(const std::vector<data::TokenSeq>& hypotheses,
 /// list is the held-out positive (Table 1: NCF quality, HR@10).
 /// `scores[u][i]` is the model score for candidate i of user u.
 double hit_rate_at_k(const std::vector<std::vector<float>>& scores, std::int64_t k);
-
-/// Fraction of moves matching the reference games (Table 1: MiniGo quality).
-double move_prediction_accuracy(const std::vector<std::int64_t>& predicted_moves,
-                                const std::vector<std::int64_t>& reference_moves);
 
 /// Mask IoU between a predicted soft mask (threshold 0.5) and a binary gt mask.
 double mask_iou(const tensor::Tensor& pred, const tensor::Tensor& gt);

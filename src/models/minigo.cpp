@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "metrics/metrics.h"
 #include "nn/functional.h"
 
 namespace mlperf::models {
@@ -391,11 +392,8 @@ double MiniGoWorkload::evaluate() {
       board.play(ref);
     }
   }
-  if (predicted.empty()) return 0.0;
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < predicted.size(); ++i)
-    if (predicted[i] == reference[i]) ++hits;
-  return static_cast<double>(hits) / static_cast<double>(predicted.size());
+  if (predicted.empty()) return 0.0;  // top1_accuracy throws on empty input
+  return metrics::top1_accuracy(predicted, reference);
 }
 
 std::map<std::string, double> MiniGoWorkload::hyperparameters() const {

@@ -435,104 +435,6 @@ Variable conv2d(const Variable& input, const Variable& weight, const Variable& b
       });
 }
 
-Variable max_pool2d(const Variable& input, std::int64_t kernel, std::int64_t stride) {
-  const Tensor& x = input.value();
-  if (x.ndim() != 4) throw std::invalid_argument("max_pool2d: input must be rank 4");
-  const std::int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
-  const std::int64_t oh = (h - kernel) / stride + 1;
-  const std::int64_t ow = (w - kernel) / stride + 1;
-  if (oh <= 0 || ow <= 0) throw std::invalid_argument("max_pool2d: output would be empty");
-  Tensor out({n, c, oh, ow});
-  auto argmax = std::make_shared<std::vector<std::int64_t>>(
-      static_cast<std::size_t>(n * c * oh * ow));
-  // Split over (sample, channel) planes: writes to out/argmax are disjoint.
-  parallel::parallel_for(
-      parallel::grain_for(oh * ow * kernel * kernel), n * c,
-      [&](std::int64_t s_begin, std::int64_t s_end) {
-        for (std::int64_t s = s_begin; s < s_end; ++s) {
-          const float* plane = x.data() + s * h * w;
-          for (std::int64_t oi = 0; oi < oh; ++oi)
-            for (std::int64_t oj = 0; oj < ow; ++oj) {
-              float best = -std::numeric_limits<float>::infinity();
-              std::int64_t best_idx = 0;
-              for (std::int64_t ki = 0; ki < kernel; ++ki)
-                for (std::int64_t kj = 0; kj < kernel; ++kj) {
-                  const std::int64_t ii = oi * stride + ki, jj = oj * stride + kj;
-                  const float v = plane[ii * w + jj];
-                  if (v > best) {
-                    best = v;
-                    best_idx = ii * w + jj;
-                  }
-                }
-              const std::int64_t oidx = (s * oh + oi) * ow + oj;
-              out[oidx] = best;
-              (*argmax)[static_cast<std::size_t>(oidx)] = s * h * w + best_idx;
-            }
-        }
-      });
-  auto in_node = input.node();
-  const std::int64_t planes = n * c, plane_out = oh * ow;
-  return Variable::from_op(
-      std::move(out), {input}, [in_node, argmax, planes, plane_out](const Tensor& g) {
-        Tensor dx(in_node->value.shape());
-        // A plane's argmax indices all land in that plane of dx, so the
-        // scatter-add is race-free when split over planes.
-        parallel::parallel_for(
-            parallel::grain_for(plane_out), planes, [&](std::int64_t s_begin, std::int64_t s_end) {
-              for (std::int64_t i = s_begin * plane_out; i < s_end * plane_out; ++i)
-                dx[(*argmax)[static_cast<std::size_t>(i)]] += g[i];
-            });
-        in_node->accumulate_grad(std::move(dx));
-      });
-}
-
-Variable avg_pool2d(const Variable& input, std::int64_t kernel, std::int64_t stride) {
-  const Tensor& x = input.value();
-  if (x.ndim() != 4) throw std::invalid_argument("avg_pool2d: input must be rank 4");
-  const std::int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
-  const std::int64_t oh = (h - kernel) / stride + 1;
-  const std::int64_t ow = (w - kernel) / stride + 1;
-  if (oh <= 0 || ow <= 0) throw std::invalid_argument("avg_pool2d: output would be empty");
-  const float inv = 1.0f / static_cast<float>(kernel * kernel);
-  Tensor out({n, c, oh, ow});
-  parallel::parallel_for(
-      parallel::grain_for(oh * ow * kernel * kernel), n * c,
-      [&](std::int64_t s_begin, std::int64_t s_end) {
-        for (std::int64_t s = s_begin; s < s_end; ++s) {
-          const float* plane = x.data() + s * h * w;
-          for (std::int64_t oi = 0; oi < oh; ++oi)
-            for (std::int64_t oj = 0; oj < ow; ++oj) {
-              double acc = 0.0;
-              for (std::int64_t ki = 0; ki < kernel; ++ki)
-                for (std::int64_t kj = 0; kj < kernel; ++kj)
-                  acc += plane[(oi * stride + ki) * w + (oj * stride + kj)];
-              out[(s * oh + oi) * ow + oj] = static_cast<float>(acc) * inv;
-            }
-        }
-      });
-  auto in_node = input.node();
-  return Variable::from_op(
-      std::move(out), {input}, [in_node, kernel, stride, inv, h, w, oh, ow](const Tensor& g) {
-        Tensor dx(in_node->value.shape());
-        const std::int64_t planes = dx.numel() / (h * w);
-        parallel::parallel_for(
-            parallel::grain_for(oh * ow * kernel * kernel), planes,
-            [&](std::int64_t s_begin, std::int64_t s_end) {
-              for (std::int64_t s = s_begin; s < s_end; ++s) {
-                float* dplane = dx.data() + s * h * w;
-                for (std::int64_t oi = 0; oi < oh; ++oi)
-                  for (std::int64_t oj = 0; oj < ow; ++oj) {
-                    const float gv = g[(s * oh + oi) * ow + oj] * inv;
-                    for (std::int64_t ki = 0; ki < kernel; ++ki)
-                      for (std::int64_t kj = 0; kj < kernel; ++kj)
-                        dplane[(oi * stride + ki) * w + (oj * stride + kj)] += gv;
-                  }
-              }
-            });
-        in_node->accumulate_grad(std::move(dx));
-      });
-}
-
 Variable global_avg_pool(const Variable& input) {
   const Tensor& x = input.value();
   if (x.ndim() != 4) throw std::invalid_argument("global_avg_pool: input must be rank 4");
@@ -560,20 +462,6 @@ Variable global_avg_pool(const Variable& input) {
           }
         });
     in_node->accumulate_grad(std::move(dx));
-  });
-}
-
-Variable dropout(const Variable& input, float p, bool training, tensor::Rng& rng) {
-  if (!training || p <= 0.0f) return input;
-  if (p >= 1.0f) throw std::invalid_argument("dropout: p must be < 1");
-  const float scale = 1.0f / (1.0f - p);
-  auto mask = std::make_shared<Tensor>(input.shape());
-  for (std::int64_t i = 0; i < mask->numel(); ++i)
-    (*mask)[i] = rng.uniform() < p ? 0.0f : scale;
-  Tensor out = input.value().mul(*mask);
-  auto in_node = input.node();
-  return Variable::from_op(std::move(out), {input}, [in_node, mask](const Tensor& g) {
-    in_node->accumulate_grad(g.mul(*mask));
   });
 }
 

@@ -13,21 +13,8 @@ autograd::Variable conv2d(const autograd::Variable& input, const autograd::Varia
                           const autograd::Variable& bias, std::int64_t stride,
                           std::int64_t padding);
 
-/// Max pooling, NCHW. kernel k, stride s, zero "padding" excluded from max.
-autograd::Variable max_pool2d(const autograd::Variable& input, std::int64_t kernel,
-                              std::int64_t stride);
-
-/// Average pooling, NCHW.
-autograd::Variable avg_pool2d(const autograd::Variable& input, std::int64_t kernel,
-                              std::int64_t stride);
-
 /// Global average pool: [N, C, H, W] -> [N, C].
 autograd::Variable global_avg_pool(const autograd::Variable& input);
-
-/// Dropout: in training, zeroes entries with probability p and scales
-/// survivors by 1/(1-p) (inverted dropout). Identity when !training.
-autograd::Variable dropout(const autograd::Variable& input, float p, bool training,
-                           tensor::Rng& rng);
 
 /// Nearest-neighbour 2x upsample, NCHW (used by detection FPN-style heads).
 autograd::Variable upsample2x(const autograd::Variable& input);

@@ -45,18 +45,11 @@ class Module {
     return out;
   }
 
-  /// Total scalar parameter count.
-  std::int64_t num_parameters() const {
-    std::int64_t n = 0;
-    for (const auto& p : parameters()) n += p.numel();
-    return n;
-  }
-
   void zero_grad() {
     for (auto& p : parameters()) p.zero_grad();
   }
 
-  /// Train/eval mode (affects dropout, batchnorm). Propagates to children.
+  /// Train/eval mode (affects batchnorm). Propagates to children.
   void set_training(bool training) {
     training_ = training;
     for (auto* c : children_) c->set_training(training);

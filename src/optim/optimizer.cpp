@@ -1,7 +1,6 @@
 #include "optim/optimizer.h"
 
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 #include <utility>
 
@@ -47,16 +46,6 @@ float LinearScalingWarmupLr::lr(std::int64_t step) const {
     return peak_ * static_cast<float>(step + 1) / static_cast<float>(warmup_steps_);
   const std::int64_t after = step - warmup_steps_;
   return peak_ * std::pow(gamma_, static_cast<float>(after / decay_step_size_));
-}
-
-CosineLr::CosineLr(float base, std::int64_t total_steps)
-    : base_(base), total_steps_(total_steps) {
-  if (total_steps <= 0) throw std::invalid_argument("CosineLr: total_steps must be > 0");
-}
-
-float CosineLr::lr(std::int64_t step) const {
-  const float t = std::min(1.0f, static_cast<float>(step) / static_cast<float>(total_steps_));
-  return 0.5f * base_ * (1.0f + std::cos(static_cast<float>(std::numbers::pi) * t));
 }
 
 SgdMomentum::SgdMomentum(std::vector<Variable> params, float momentum, float weight_decay,

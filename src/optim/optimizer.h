@@ -18,15 +18,6 @@ class LrSchedule {
   virtual float lr(std::int64_t step) const = 0;
 };
 
-class ConstantLr final : public LrSchedule {
- public:
-  explicit ConstantLr(float lr) : lr_(lr) {}
-  float lr(std::int64_t) const override { return lr_; }
-
- private:
-  float lr_;
-};
-
 /// lr = base * gamma^(step / step_size) — classic staircase decay.
 class StepDecayLr final : public LrSchedule {
  public:
@@ -46,24 +37,12 @@ class LinearScalingWarmupLr final : public LrSchedule {
   LinearScalingWarmupLr(float base_lr, std::int64_t batch, std::int64_t base_batch,
                         std::int64_t warmup_steps, float gamma, std::int64_t decay_step_size);
   float lr(std::int64_t step) const override;
-  float peak_lr() const { return peak_; }
 
  private:
   float peak_;
   std::int64_t warmup_steps_;
   float gamma_;
   std::int64_t decay_step_size_;
-};
-
-/// Half-cosine from base to ~0 over `total_steps`.
-class CosineLr final : public LrSchedule {
- public:
-  CosineLr(float base, std::int64_t total_steps);
-  float lr(std::int64_t step) const override;
-
- private:
-  float base_;
-  std::int64_t total_steps_;
 };
 
 /// A named, ordered view of an optimizer's mutable state: the slot buffers

@@ -198,19 +198,6 @@ MLPERF_GEMM_INLINE void f64acc_packed_body(Trans ta, const float* a, std::int64_
   blocked_gemm<Tile>(ta, a, lda, bp, m, n, k, c, ldc);
 }
 
-// The one-call dW form of every build: pack op(B) into the calling thread's
-// arena, then run that build's prepacked kernel.
-template <detail::PackedGemmFn F64AccPacked>
-void f64acc_unpacked(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-                     const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
-                     std::int64_t ldc) {
-  if (m <= 0 || n <= 0) return;
-  ScratchArena::Frame frame(ScratchArena::tls());
-  float* bp = frame.alloc(gemm_packed_b_size(k, n));
-  gemm_pack_b(tb, b, ldb, k, n, bp);
-  F64AccPacked(ta, a, lda, bp, m, n, k, c, ldc);
-}
-
 // ---- per-ISA entry points ---------------------------------------------------
 // The default build is the baseline-x86-64 kernel with the historical 4x8
 // tile. The avx2 build widens the float tile to 8x8: one 256-bit register per
@@ -299,13 +286,10 @@ namespace detail {
 std::span<const GemmVariant> gemm_variants() {
   static const GemmVariant variants[] = {
 #if MLPERF_GEMM_HAVE_AVX2
-      {"avx512", 8, cpu_has_avx512(), &packed_avx2, &f64acc_packed_avx512,
-       &f64acc_unpacked<&f64acc_packed_avx512>},
-      {"avx2", 8, cpu_has_avx2(), &packed_avx2, &f64acc_packed_avx2,
-       &f64acc_unpacked<&f64acc_packed_avx2>},
+      {"avx512", 8, cpu_has_avx512(), &packed_avx2, &f64acc_packed_avx512},
+      {"avx2", 8, cpu_has_avx2(), &packed_avx2, &f64acc_packed_avx2},
 #endif
-      {"default", kGemmMR, true, &packed_default, &f64acc_packed_default,
-       &f64acc_unpacked<&f64acc_packed_default>},
+      {"default", kGemmMR, true, &packed_default, &f64acc_packed_default},
   };
   return variants;
 }
@@ -358,12 +342,6 @@ void gemm_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::in
   float* bp = frame.alloc(gemm_packed_b_size(k, n));
   gemm_pack_b(tb, b, ldb, k, n, bp);
   gemm_packed(ta, a, lda, bp, m, n, k, c, ldc);
-}
-
-void gemm_f64acc(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-                 const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
-                 std::int64_t ldc) {
-  active_variant().f64acc(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_f64acc_packed(Trans ta, const float* a, std::int64_t lda, const float* bp,

@@ -25,15 +25,15 @@ inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 8;
 inline constexpr std::int64_t kGemmMC = 64;
 
-/// The kernel build gemm_packed and gemm_f64acc dispatch to on this host:
-/// "avx512" when the CPU supports AVX-512F and AVX-512VL, else "avx2" when
-/// it supports AVX2, else "default" (baseline x86-64, or the only build on
-/// other architectures). Chosen once, on first use, from the CPU's feature
-/// flags; nothing else selects it. Every build computes
-/// the same bits, because none of them uses FMA: a fused multiply-add rounds
-/// once where `acc += a * b` rounds twice, which would change every 0-ULP
-/// pin and every recorded training outcome. The run's mlog records this
-/// name (key "kernel_isa") so a time-to-train says which kernel produced it.
+/// The kernel build gemm_packed and gemm_f64acc_packed dispatch to on this
+/// host: "avx512" when the CPU supports AVX-512F and AVX-512VL, else "avx2"
+/// when it supports AVX2, else "default" (baseline x86-64, or the only build
+/// on other architectures). Chosen once, on first use, from the CPU's feature
+/// flags; nothing else selects it. Every build computes the same bits,
+/// because none of them uses FMA: a fused multiply-add rounds once where
+/// `acc += a * b` rounds twice, which would change every 0-ULP pin and every
+/// recorded training outcome. The run's mlog records this name (key
+/// "kernel_isa") so a time-to-train says which kernel produced it.
 const char* gemm_isa();
 
 namespace detail {
@@ -51,15 +51,11 @@ struct GemmVariant {
   bool host_supported;  ///< this CPU can execute it
   PackedGemmFn packed;
   PackedGemmFn f64acc_packed;
-  /// Packs op(B) into the arena, then runs f64acc_packed.
-  void (*f64acc)(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-                 const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
-                 std::int64_t ldc);
 };
 
 /// Every build compiled in, in dispatch preference order (widest first):
-/// avx512, avx2, default on x86-64. gemm_packed/gemm_f64acc run the first
-/// entry with host_supported set.
+/// avx512, avx2, default on x86-64. gemm_packed/gemm_f64acc_packed run the
+/// first entry with host_supported set.
 std::span<const GemmVariant> gemm_variants();
 
 }  // namespace detail
@@ -137,9 +133,10 @@ void gemm_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::in
                      std::int64_t ldc);
 
 /// Packed, cache-blocked GEMM with DOUBLE accumulators — the conv2d weight
-/// gradient kernel. OVERWRITE semantics:
+/// gradient kernel — on op(B) already packed by gemm_pack_b (or laid out
+/// exactly as it would). OVERWRITE semantics:
 ///
-///   C[i][j] = float( sum over p ascending of double( op(A)[i][p] * op(B)[p][j] ) )
+///   C[i][j] = float( sum over p ascending of double( op(A)[i][p] * Bp[p][j] ) )
 ///
 /// Each product is computed in float (exactly as the naive dW dot-product
 /// loop does: float*float rounds before widening) and folded into ONE double
@@ -151,13 +148,6 @@ void gemm_accumulate(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::in
 /// or call-site partitioning (a 0-ULP contract, pinned in
 /// tests/test_gemm.cpp). k <= 0 zeroes C (the naive loop writes float(0.0)).
 /// Existing C contents are ignored — this is NOT an accumulate kernel.
-/// Packs op(B) into the calling thread's arena, then runs gemm_f64acc_packed.
-void gemm_f64acc(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
-                 const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
-                 std::int64_t ldc);
-
-/// gemm_f64acc with op(B) already packed by gemm_pack_b (or laid out exactly
-/// as it would): C[m,n] = op(A) * Bp, same overwrite semantics and bits.
 /// conv2d's dW calls it on panels its lowering wrote straight from the image.
 void gemm_f64acc_packed(Trans ta, const float* a, std::int64_t lda, const float* bp,
                         std::int64_t m, std::int64_t n, std::int64_t k, float* c,

@@ -8,9 +8,9 @@ namespace mlperf::tensor {
 /// Deterministic, seedable pseudo-random generator (SplitMix64 core).
 ///
 /// Every stochastic component in the stack (weight init, shuffling,
-/// augmentation, dropout, negative sampling, MCTS) draws from an explicit
-/// `Rng`, so run-to-run variance studies (paper Fig. 2/3) are reproducible:
-/// the same seed always yields the same training trajectory.
+/// augmentation, negative sampling, MCTS) draws from an explicit `Rng`, so
+/// run-to-run variance studies (paper Fig. 2/3) are reproducible: the same
+/// seed always yields the same training trajectory.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) : state_(seed) {}

@@ -1,9 +1,7 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -101,12 +99,6 @@ Tensor Tensor::uninitialized(Shape shape) {
   // resize writes nothing (shrink) or zero-fills only the gap (grow) —
   // amortized free once the pool is warm.
   t.data_.resize(static_cast<std::size_t>(n));
-  return t;
-}
-
-Tensor Tensor::arange(std::int64_t n) {
-  Tensor t = uninitialized({n});
-  for (std::int64_t i = 0; i < n; ++i) t[i] = static_cast<float>(i);
   return t;
 }
 
@@ -224,18 +216,6 @@ Tensor Tensor::permute(const std::vector<std::int64_t>& dims) const {
     }
   });
   return out;
-}
-
-namespace {
-std::atomic<std::int64_t> g_transpose2d_calls{0};
-}  // namespace
-
-std::int64_t transpose2d_calls() { return g_transpose2d_calls.load(std::memory_order_relaxed); }
-
-Tensor Tensor::transpose2d() const {
-  if (ndim() != 2) fail("transpose2d(): expects rank 2");
-  g_transpose2d_calls.fetch_add(1, std::memory_order_relaxed);
-  return permute({1, 0});
 }
 
 Tensor Tensor::slice0(std::int64_t begin, std::int64_t end) const {
@@ -374,39 +354,18 @@ Tensor Tensor::reduce_to(const Shape& target) const {
   return out;
 }
 
-Tensor Tensor::add_scalar(float s) const {
-  return map([s](float x) { return x + s; });
-}
 Tensor Tensor::mul_scalar(float s) const {
   return map([s](float x) { return x * s; });
 }
 
-Tensor Tensor::neg() const {
-  return map([](float x) { return -x; });
-}
 Tensor Tensor::relu() const {
   return map([](float x) { return x > 0.0f ? x : 0.0f; });
-}
-Tensor Tensor::exp() const {
-  return map([](float x) { return std::exp(x); });
-}
-Tensor Tensor::log() const {
-  return map([](float x) { return std::log(x); });
 }
 Tensor Tensor::tanh() const {
   return map([](float x) { return std::tanh(x); });
 }
 Tensor Tensor::sigmoid() const {
   return map([](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-Tensor Tensor::sqrt() const {
-  return map([](float x) { return std::sqrt(x); });
-}
-Tensor Tensor::pow(float e) const {
-  return map([e](float x) { return std::pow(x, e); });
-}
-Tensor Tensor::clamp(float lo, float hi) const {
-  return map([lo, hi](float x) { return std::min(std::max(x, lo), hi); });
 }
 
 float Tensor::sum() const {
@@ -419,100 +378,6 @@ float Tensor::sum() const {
       },
       [](double a, double b) { return a + b; });
   return static_cast<float>(s);
-}
-
-float Tensor::mean() const {
-  if (data_.empty()) fail("mean(): empty tensor");
-  return sum() / static_cast<float>(data_.size());
-}
-
-float Tensor::max() const {
-  if (data_.empty()) fail("max(): empty tensor");
-  // min/max combines are exactly associative, so any chunking is bit-stable.
-  return parallel::parallel_reduce(
-      kReduceGrain, numel(), -std::numeric_limits<float>::infinity(),
-      [&](std::int64_t begin, std::int64_t end) {
-        return *std::max_element(data_.begin() + begin, data_.begin() + end);
-      },
-      [](float a, float b) { return std::max(a, b); });
-}
-
-float Tensor::min() const {
-  if (data_.empty()) fail("min(): empty tensor");
-  return parallel::parallel_reduce(
-      kReduceGrain, numel(), std::numeric_limits<float>::infinity(),
-      [&](std::int64_t begin, std::int64_t end) {
-        return *std::min_element(data_.begin() + begin, data_.begin() + end);
-      },
-      [](float a, float b) { return std::min(a, b); });
-}
-
-std::int64_t Tensor::argmax() const {
-  if (data_.empty()) fail("argmax(): empty tensor");
-  return static_cast<std::int64_t>(
-      std::max_element(data_.begin(), data_.end()) - data_.begin());
-}
-
-namespace {
-// Shared axis-reduction driver: out[pre, post] = reduce over axis.
-template <typename Init, typename Step, typename Fin>
-Tensor reduce_axis(const Tensor& t, std::int64_t axis, bool keepdim, Init init, Step step,
-                   Fin fin) {
-  auto nd = t.ndim();
-  if (axis < 0) axis += nd;
-  if (axis < 0 || axis >= nd) fail("axis reduction: axis out of range");
-  const auto& sh = t.shape();
-  std::int64_t pre = 1, post = 1;
-  for (std::int64_t i = 0; i < axis; ++i) pre *= sh[static_cast<std::size_t>(i)];
-  for (std::int64_t i = axis + 1; i < nd; ++i) post *= sh[static_cast<std::size_t>(i)];
-  const std::int64_t ax = sh[static_cast<std::size_t>(axis)];
-  Shape out_shape;
-  for (std::int64_t i = 0; i < nd; ++i) {
-    if (i == axis) {
-      if (keepdim) out_shape.push_back(1);
-    } else {
-      out_shape.push_back(sh[static_cast<std::size_t>(i)]);
-    }
-  }
-  if (out_shape.empty()) out_shape.push_back(1);
-  Tensor out = Tensor::uninitialized(out_shape);  // every dst[r] written below
-  const float* src = t.data();
-  float* dst = out.data();
-  // Each output element folds its axis in the original order, so splitting
-  // over output elements is bitwise identical at any thread count.
-  parallel::parallel_for(
-      parallel::grain_for(ax), pre * post, [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t r = begin; r < end; ++r) {
-          const std::int64_t p = r / post, q = r % post;
-          auto acc = init();
-          for (std::int64_t a = 0; a < ax; ++a)
-            acc = step(acc, src[(p * ax + a) * post + q]);
-          dst[r] = fin(acc, ax);
-        }
-      });
-  return out;
-}
-}  // namespace
-
-Tensor Tensor::sum_axis(std::int64_t axis, bool keepdim) const {
-  return reduce_axis(
-      *this, axis, keepdim, [] { return 0.0; },
-      [](double acc, float v) { return acc + v; },
-      [](double acc, std::int64_t) { return static_cast<float>(acc); });
-}
-
-Tensor Tensor::mean_axis(std::int64_t axis, bool keepdim) const {
-  return reduce_axis(
-      *this, axis, keepdim, [] { return 0.0; },
-      [](double acc, float v) { return acc + v; },
-      [](double acc, std::int64_t n) { return static_cast<float>(acc / static_cast<double>(n)); });
-}
-
-Tensor Tensor::max_axis(std::int64_t axis, bool keepdim) const {
-  return reduce_axis(
-      *this, axis, keepdim, [] { return -std::numeric_limits<float>::infinity(); },
-      [](float acc, float v) { return std::max(acc, v); },
-      [](float acc, std::int64_t) { return acc; });
 }
 
 std::vector<std::int64_t> Tensor::argmax_last() const {

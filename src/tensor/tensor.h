@@ -51,8 +51,6 @@ class Tensor {
   static Tensor ones(Shape shape) { return Tensor(std::move(shape), 1.0f); }
   static Tensor full(Shape shape, float v) { return Tensor(std::move(shape), v); }
   static Tensor scalar(float v) { return Tensor({1}, {v}); }
-  /// [0, 1, ..., n-1] as a 1-D tensor.
-  static Tensor arange(std::int64_t n);
   /// I.i.d. N(mean, stddev) entries.
   static Tensor randn(Shape shape, Rng& rng, float mean = 0.0f, float stddev = 1.0f);
   /// I.i.d. U[lo, hi) entries.
@@ -90,8 +88,6 @@ class Tensor {
   Tensor reshape(Shape new_shape) const;
   /// Permute dimensions, e.g. permute({1,0}) is a 2-D transpose.
   Tensor permute(const std::vector<std::int64_t>& dims) const;
-  /// 2-D transpose convenience.
-  Tensor transpose2d() const;
   /// Slice along dim 0: rows [begin, end).
   Tensor slice0(std::int64_t begin, std::int64_t end) const;
   /// Concatenate along dim 0 (all other extents must match).
@@ -99,10 +95,7 @@ class Tensor {
 
   // ----- elementwise & broadcast binary ops ---------------------------------
   Tensor add(const Tensor& o) const { return binary(o, std::plus<float>{}); }
-  Tensor sub(const Tensor& o) const { return binary(o, std::minus<float>{}); }
   Tensor mul(const Tensor& o) const { return binary(o, std::multiplies<float>{}); }
-  Tensor div(const Tensor& o) const { return binary(o, std::divides<float>{}); }
-  Tensor add_scalar(float s) const;
   Tensor mul_scalar(float s) const;
   /// General broadcast binary op (NumPy right-aligned broadcast rules). The
   /// functor is a template parameter so it inlines into the element loop.
@@ -167,27 +160,12 @@ class Tensor {
     });
     return out;
   }
-  Tensor neg() const;
   Tensor relu() const;
-  Tensor exp() const;
-  Tensor log() const;
   Tensor tanh() const;
   Tensor sigmoid() const;
-  Tensor sqrt() const;
-  Tensor pow(float e) const;
-  Tensor clamp(float lo, float hi) const;
 
   // ----- reductions ---------------------------------------------------------
   float sum() const;
-  float mean() const;
-  float max() const;
-  float min() const;
-  /// Index of max element (flat).
-  std::int64_t argmax() const;
-  /// Sum along one axis; keepdim keeps the axis with extent 1.
-  Tensor sum_axis(std::int64_t axis, bool keepdim = false) const;
-  Tensor mean_axis(std::int64_t axis, bool keepdim = false) const;
-  Tensor max_axis(std::int64_t axis, bool keepdim = false) const;
   /// Argmax along the last axis: shape drops the last dim.
   std::vector<std::int64_t> argmax_last() const;
 
@@ -239,10 +217,5 @@ class Tensor {
   static std::int64_t shape_numel(const Shape& s);
   std::vector<std::int64_t> strides() const;
 };
-
-/// Diagnostic counter: number of transpose2d() materializations performed by
-/// this process so far. Tests use it to pin the transpose-free backward
-/// contract (matmul/conv2d backward must not copy-transpose operands).
-std::int64_t transpose2d_calls();
 
 }  // namespace mlperf::tensor

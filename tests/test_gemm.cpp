@@ -79,6 +79,18 @@ const Mkn kShapes[] = {
     {17, 5, 23}, {33, 17, 9}, {65, 31, 40}, {64, 64, 8}, {66, 3, 17}, {128, 2, 5},
 };
 
+// The double-accumulator dW kernel on an unpacked op(B): packs op(B) with
+// gemm_pack_b, then runs `kernel` (the dispatched gemm_f64acc_packed, or one
+// build's f64acc_packed) on the panels.
+void f64acc(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+            std::int64_t lda, const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
+            tensor::detail::PackedGemmFn kernel = &tensor::gemm_f64acc_packed) {
+  std::vector<float> bp(
+      static_cast<std::size_t>(std::max<std::int64_t>(tensor::gemm_packed_b_size(k, n), 1)));
+  tensor::gemm_pack_b(tb, b, ldb, k, n, bp.data());
+  kernel(ta, a, lda, bp.data(), m, n, k, c, ldc);
+}
+
 }  // namespace
 
 TEST_F(GemmTest, PackedMatchesRefBitwise) {
@@ -104,8 +116,8 @@ TEST_F(GemmTest, TransposedVariantsMatchExplicitTranspose) {
   for (const auto& s : kShapes) {
     Tensor a = Tensor::randn({s.m, s.k}, rng);
     Tensor b = Tensor::randn({s.k, s.n}, rng);
-    Tensor at = a.transpose2d();  // stored [k, m], consumed as A via Trans::T
-    Tensor bt = b.transpose2d();  // stored [n, k], consumed as B via Trans::T
+    Tensor at = a.permute({1, 0});  // stored [k, m], consumed as A via Trans::T
+    Tensor bt = b.permute({1, 0});  // stored [n, k], consumed as B via Trans::T
     Tensor want = a.matmul(b);
     expect_bitwise_equal(want, a.matmul(b, Trans::N, Trans::N), "NN");
     expect_bitwise_equal(want, at.matmul(b, Trans::T, Trans::N), "TN");
@@ -119,7 +131,7 @@ TEST_F(GemmTest, MatmulBitwiseIdenticalAcrossThreadCounts) {
     Rng rng(103);
     Tensor a = Tensor::randn({s.m, s.k}, rng);
     Tensor b = Tensor::randn({s.k, s.n}, rng);
-    Tensor bt = b.transpose2d();
+    Tensor bt = b.permute({1, 0});
     parallel::set_num_threads(1);
     Tensor base = a.matmul(b);
     Tensor base_nt = a.matmul(bt, Trans::N, Trans::T);
@@ -169,23 +181,7 @@ TEST_F(GemmTest, MatmulShapeValidation) {
   EXPECT_NO_THROW(a.matmul(Tensor({5, 3}), Trans::N, Trans::T));  // op(B) = [3, 5]
 }
 
-// ---- autograd: transpose-free forward/backward ----------------------------
-
-TEST_F(GemmTest, MatmulBackwardUsesNoTransposeCopies) {
-  Rng rng(105);
-  autograd::Variable a(Tensor::randn({7, 5}, rng), true);
-  autograd::Variable b(Tensor::randn({5, 9}, rng), true);
-  const std::int64_t before = tensor::transpose2d_calls();
-  auto y = autograd::matmul(a, b);
-  autograd::sum_all(y).backward();
-  auto yt = autograd::matmul(a, autograd::Variable(Tensor::randn({9, 5}, rng), true), Trans::N,
-                             Trans::T);
-  autograd::sum_all(yt).backward();
-  EXPECT_EQ(before, tensor::transpose2d_calls())
-      << "matmul forward+backward materialized a transpose copy";
-  EXPECT_GT(a.grad().l2_norm_sq(), 0.0f);
-  EXPECT_GT(b.grad().l2_norm_sq(), 0.0f);
-}
+// ---- autograd: transposed operands in place -------------------------------
 
 TEST_F(GemmTest, TransposedMatmulGradsMatchExplicitComposition) {
   Rng rng(106);
@@ -206,35 +202,12 @@ TEST_F(GemmTest, TransposedMatmulGradsMatchExplicitComposition) {
   expect_bitwise_equal(b1.grad(), b2.grad(), "dB");
 
   // And the TA case.
-  Tensor wat = wa.transpose2d();  // [5, 7]
+  Tensor wat = wa.permute({1, 0});  // [5, 7]
   autograd::Variable a3(wat, true), b3(wb, true);
   auto y3 = autograd::matmul(a3, b3, Trans::T, Trans::T);
   autograd::sum_all(y3).backward();
   expect_bitwise_equal(y1.value(), y3.value(), "TT forward");
   expect_bitwise_equal(b1.grad(), b3.grad(), "TT dB");
-}
-
-TEST_F(GemmTest, Conv2dBackwardUsesNoTransposeCopies) {
-  Rng rng(107);
-  autograd::Variable x(Tensor::randn({2, 3, 6, 6}, rng), true);
-  autograd::Variable w(Tensor::randn({4, 3, 3, 3}, rng), true);
-  const std::int64_t before = tensor::transpose2d_calls();
-  auto y = nn::conv2d(x, w, autograd::Variable(), 1, 1);
-  autograd::sum_all(y).backward();
-  EXPECT_EQ(before, tensor::transpose2d_calls())
-      << "conv2d forward+backward materialized a transpose copy";
-  EXPECT_GT(x.grad().l2_norm_sq(), 0.0f);
-  EXPECT_GT(w.grad().l2_norm_sq(), 0.0f);
-}
-
-TEST_F(GemmTest, LinearForwardUsesNoTransposeCopies) {
-  Rng rng(108);
-  nn::Linear fc(12, 8, rng);
-  autograd::Variable x(Tensor::randn({5, 12}, rng), true);
-  const std::int64_t before = tensor::transpose2d_calls();
-  auto y = fc.forward(x);
-  autograd::sum_all(y).backward();
-  EXPECT_EQ(before, tensor::transpose2d_calls());
 }
 
 // ---- scratch arena --------------------------------------------------------
@@ -314,13 +287,14 @@ TEST_F(GemmTest, SteadyStateTrainingStepAllocatesNoScratch) {
       << "steady-state step allocated scratch chunks";
 }
 
-// ---- gemm_f64acc: the conv dW kernel ---------------------------------------
+// ---- gemm_f64acc_packed: the conv dW kernel --------------------------------
 //
 // Same 0-ULP discipline as the float kernel, with a different numerics
 // contract: OVERWRITE semantics, float products folded into one DOUBLE
 // accumulator per element in ascending k — exactly the naive dot-product loop
 // conv2d's weight gradient used before the packed kernel (retained verbatim
-// as gemm_f64acc_ref).
+// as gemm_f64acc_ref). The f64acc() helper packs op(B) with gemm_pack_b
+// first, so every Trans orientation of B is covered.
 
 TEST_F(GemmTest, F64AccMatchesNaiveDoubleLoopBitwise) {
   Rng rng(110);
@@ -340,8 +314,7 @@ TEST_F(GemmTest, F64AccMatchesNaiveDoubleLoopBitwise) {
       }
     // Stale garbage in C pins the overwrite contract.
     Tensor got({s.m, s.n}, -7.75f);
-    tensor::gemm_f64acc(Trans::N, Trans::N, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-                        got.data(), s.n);
+    f64acc(Trans::N, Trans::N, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, got.data(), s.n);
     expect_bitwise_equal(want, got, "f64acc vs naive double loop");
     Tensor ref({s.m, s.n}, 3.5f);
     tensor::gemm_f64acc_ref(Trans::N, Trans::N, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
@@ -357,8 +330,8 @@ TEST_F(GemmTest, F64AccTransVariantsMatchRefAcrossThreads) {
                              rng);
     Tensor b = Tensor::randn({std::max<std::int64_t>(s.k, 1), std::max<std::int64_t>(s.n, 1)},
                              rng);
-    Tensor at = a.transpose2d();
-    Tensor bt = b.transpose2d();
+    Tensor at = a.permute({1, 0});
+    Tensor bt = b.permute({1, 0});
     Tensor want({s.m, s.n}, 9.0f);
     tensor::gemm_f64acc_ref(Trans::N, Trans::N, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
                             want.data(), s.n);
@@ -378,8 +351,8 @@ TEST_F(GemmTest, F64AccTransVariantsMatchRefAcrossThreads) {
       };
       for (const Case& c : cases) {
         Tensor got({s.m, s.n}, -1.25f);
-        tensor::gemm_f64acc(c.ta, c.tb, s.m, s.n, s.k, c.pa->data(), c.lda, c.pb->data(),
-                            c.ldb, got.data(), s.n);
+        f64acc(c.ta, c.tb, s.m, s.n, s.k, c.pa->data(), c.lda, c.pb->data(), c.ldb, got.data(),
+               s.n);
         expect_bitwise_equal(want, got, c.name);
       }
     }
@@ -393,7 +366,7 @@ TEST_F(GemmTest, F64AccKZeroZeroesC) {
   Tensor a({3, 1});
   Tensor b({1, 4});
   Tensor got({3, 4}, 2.5f);
-  tensor::gemm_f64acc(Trans::N, Trans::N, 3, 4, 0, a.data(), 1, b.data(), 4, got.data(), 4);
+  f64acc(Trans::N, Trans::N, 3, 4, 0, a.data(), 1, b.data(), 4, got.data(), 4);
   for (std::int64_t i = 0; i < got.numel(); ++i) EXPECT_EQ(0.0f, got[i]);
   Tensor ref({3, 4}, -2.5f);
   tensor::gemm_f64acc_ref(Trans::N, Trans::N, 3, 4, 0, a.data(), 1, b.data(), 4, ref.data(), 4);
@@ -419,19 +392,19 @@ TEST_F(GemmTest, ConvDwOrientationMatchesOldInlineLoop) {
   for (int threads : {1, 2, 4, 8}) {
     parallel::set_num_threads(threads);
     Tensor got({O, R}, 4.0f);
-    tensor::gemm_f64acc(Trans::N, Trans::T, O, R, Q, g.data(), Q, cols.data(), Q, got.data(),
-                        R);
+    f64acc(Trans::N, Trans::T, O, R, Q, g.data(), Q, cols.data(), Q, got.data(), R);
     expect_bitwise_equal(want, got, "conv dW orientation");
   }
 }
 
 // ---- every compiled kernel build -------------------------------------------
 //
-// gemm_packed and gemm_f64acc dispatch to one build (gemm_isa()), chosen from
-// the CPU's features. The tests above therefore pin only that build; these
-// run the same 0-ULP refchecks on every build the binary carries and this CPU
-// can execute, through the detail variant table: the edge shapes, all four
-// Trans orientations, and row-partitioned calls at 1/2/4/8 threads.
+// gemm_packed and gemm_f64acc_packed dispatch to one build (gemm_isa()),
+// chosen from the CPU's features. The tests above therefore pin only that
+// build; these run the same 0-ULP refchecks on every build the binary
+// carries and this CPU can execute, through the detail variant table: the
+// edge shapes, all four Trans orientations, and row-partitioned calls at
+// 1/2/4/8 threads.
 
 namespace {
 
@@ -443,8 +416,8 @@ Operands make_operands(const Mkn& s, Rng& rng) {
   Operands o;
   o.a = Tensor::randn({std::max<std::int64_t>(s.m, 1), std::max<std::int64_t>(s.k, 1)}, rng);
   o.b = Tensor::randn({std::max<std::int64_t>(s.k, 1), std::max<std::int64_t>(s.n, 1)}, rng);
-  o.at = o.a.transpose2d();
-  o.bt = o.b.transpose2d();
+  o.at = o.a.permute({1, 0});
+  o.bt = o.b.permute({1, 0});
   return o;
 }
 
@@ -544,8 +517,9 @@ TEST_F(GemmTest, EveryVariantF64AccMatchesRefBitwise) {
           Tensor got({s.m, s.n}, -1.25f);  // stale C pins the overwrite contract
           for_row_blocks(threads, s.m, [&](std::int64_t b, std::int64_t e) {
             const float* a0 = sa.data() + (r.ta == Trans::N ? b * ld(sa) : b);
-            v.f64acc(r.ta, r.tb, e - b, s.n, s.k, a0, ld(sa), sb.data(), ld(sb),
-                     got.data() + b * s.n, s.n);
+            // Each row block packs op(B) for itself, on its own thread.
+            f64acc(r.ta, r.tb, e - b, s.n, s.k, a0, ld(sa), sb.data(), ld(sb),
+                   got.data() + b * s.n, s.n, v.f64acc_packed);
           });
           SCOPED_TRACE(::testing::Message() << v.isa << " " << r.name << " threads=" << threads
                                             << " m=" << s.m << " k=" << s.k << " n=" << s.n);

@@ -159,10 +159,6 @@ TEST(HitRate, EmptyThrows) {
   EXPECT_THROW(hit_rate_at_k({{}}, 10), std::invalid_argument);
 }
 
-TEST(MovePrediction, DelegatesToTop1) {
-  EXPECT_DOUBLE_EQ(move_prediction_accuracy({1, 2, 3}, {1, 0, 3}), 2.0 / 3.0);
-}
-
 // AP at varying IoU thresholds is monotonically non-increasing.
 class ApMonotonicity : public ::testing::TestWithParam<float> {};
 

@@ -22,6 +22,12 @@ using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
 
+std::int64_t num_parameters(const nn::Module& m) {
+  std::int64_t n = 0;
+  for (const auto& p : m.parameters()) n += p.numel();
+  return n;
+}
+
 // ---- ResNet ------------------------------------------------------------------
 
 TEST(ResNet, ForwardShape) {
@@ -38,7 +44,7 @@ TEST(ResNet, V15FirstBlockHasIdentitySkipWhenShapesMatch) {
   Rng rng(2);
   BottleneckBlock same(16, 8, 16, 1, rng);
   BottleneckBlock proj(8, 8, 16, 1, rng);
-  EXPECT_LT(same.num_parameters(), proj.num_parameters());
+  EXPECT_LT(num_parameters(same), num_parameters(proj));
 }
 
 TEST(ResNet, StrideTwoHalvesResolutionViaThreeByThree) {
@@ -450,8 +456,10 @@ TEST(MiniGo, NetOutputShapes) {
   auto out = net.forward(Variable(Tensor({2, 3, 9, 9})));
   EXPECT_EQ(out.policy_logits.value().shape(), (Shape{2, 82}));
   EXPECT_EQ(out.value.value().shape(), (Shape{2, 1}));
-  EXPECT_LE(out.value.value().max(), 1.0f);
-  EXPECT_GE(out.value.value().min(), -1.0f);
+  const std::vector<float>& v = out.value.value().vec();
+  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  EXPECT_GE(*lo, -1.0f);
+  EXPECT_LE(*hi, 1.0f);
 }
 
 TEST(MiniGo, InferReturnsDistribution) {
@@ -594,6 +602,18 @@ TEST(MiniGoWorkload, MovePredictionImprovesOnSmoke) {
   const double before = w.evaluate();
   for (int e = 0; e < 6; ++e) w.train_epoch();
   EXPECT_GT(w.evaluate(), before);
+}
+
+TEST(MiniGoWorkload, NoReferenceGamesEvaluatesToZero) {
+  // Nothing to predict: evaluate() reports 0 rather than calling
+  // metrics::top1_accuracy, which throws on empty input.
+  MiniGoWorkload::Config cfg;
+  cfg.reference_games = 0;
+  MiniGoWorkload w(cfg);
+  w.prepare_data();
+  EXPECT_TRUE(w.reference_games().empty());
+  w.build_model(10);
+  EXPECT_EQ(w.evaluate(), 0.0);
 }
 
 TEST(MiniGoWorkload, FixedSeedNondeterminismFlag) {

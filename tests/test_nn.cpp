@@ -333,32 +333,6 @@ TEST(Conv2d, ShapeErrorsThrow) {
                std::invalid_argument);
 }
 
-TEST(Pooling, MaxPoolForward) {
-  Tensor x({1, 1, 4, 4});
-  for (std::int64_t i = 0; i < 16; ++i) x[i] = static_cast<float>(i);
-  Variable out = max_pool2d(Variable(x), 2, 2);
-  ASSERT_EQ(out.value().shape(), (Shape{1, 1, 2, 2}));
-  EXPECT_FLOAT_EQ(out.value()[0], 5.0f);
-  EXPECT_FLOAT_EQ(out.value()[3], 15.0f);
-}
-
-TEST(Pooling, MaxPoolGradientGoesToArgmax) {
-  Tensor x({1, 1, 2, 2}, {1.0f, 9.0f, 3.0f, 4.0f});
-  Variable vx(x, true);
-  autograd::sum_all(max_pool2d(vx, 2, 2)).backward();
-  EXPECT_FLOAT_EQ(vx.grad()[0], 0.0f);
-  EXPECT_FLOAT_EQ(vx.grad()[1], 1.0f);
-}
-
-TEST(Pooling, AvgPoolForwardAndBackward) {
-  Tensor x({1, 1, 2, 2}, {1.0f, 2.0f, 3.0f, 6.0f});
-  Variable vx(x, true);
-  Variable out = avg_pool2d(vx, 2, 2);
-  EXPECT_FLOAT_EQ(out.value()[0], 3.0f);
-  autograd::sum_all(out).backward();
-  for (std::int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(vx.grad()[i], 0.25f);
-}
-
 TEST(Pooling, GlobalAvgPool) {
   Tensor x({2, 3, 2, 2}, 2.0f);
   Variable out = global_avg_pool(Variable(x));
@@ -379,28 +353,6 @@ TEST(Upsample, BackwardSumsQuads) {
   Variable vx(x, true);
   autograd::sum_all(upsample2x(vx)).backward();
   EXPECT_FLOAT_EQ(vx.grad()[0], 4.0f);
-}
-
-TEST(Dropout, EvalModeIsIdentity) {
-  Rng rng(3);
-  Tensor x = Tensor::randn({10}, rng);
-  Variable out = dropout(Variable(x), 0.5f, /*training=*/false, rng);
-  for (std::int64_t i = 0; i < 10; ++i) EXPECT_EQ(out.value()[i], x[i]);
-}
-
-TEST(Dropout, TrainingZeroesAndRescales) {
-  Rng rng(4);
-  Tensor x({1000}, 1.0f);
-  Variable out = dropout(Variable(x), 0.25f, true, rng);
-  std::int64_t zeros = 0;
-  for (std::int64_t i = 0; i < 1000; ++i) {
-    if (out.value()[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(out.value()[i], 1.0f / 0.75f, 1e-5);
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 1000.0, 0.25, 0.06);
 }
 
 TEST(Linear, ShapesAndBias) {
@@ -691,7 +643,9 @@ TEST(Module, ParameterRegistryAndNames) {
   for (const auto& [name, v] : named)
     if (name == "wq.weight") found = true;
   EXPECT_TRUE(found);
-  EXPECT_GT(mha.num_parameters(), 0);
+  std::int64_t count = 0;
+  for (const auto& [name, v] : named) count += v.numel();
+  EXPECT_EQ(count, 4 * (8 * 8 + 8));
 }
 
 TEST(Module, ZeroGradClearsAll) {

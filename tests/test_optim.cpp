@@ -23,12 +23,6 @@ void set_grad(Variable& p, float g) {
   p.node()->grad[0] = g;
 }
 
-TEST(Schedules, ConstantLr) {
-  ConstantLr s(0.1f);
-  EXPECT_FLOAT_EQ(s.lr(0), 0.1f);
-  EXPECT_FLOAT_EQ(s.lr(1000000), 0.1f);
-}
-
 TEST(Schedules, StepDecayStaircase) {
   StepDecayLr s(1.0f, 0.5f, 10);
   EXPECT_FLOAT_EQ(s.lr(0), 1.0f);
@@ -42,8 +36,9 @@ TEST(Schedules, LinearScalingPeakFollowsBatch) {
   // Goyal et al. linear scaling: peak lr proportional to batch size.
   LinearScalingWarmupLr small(0.1f, 256, 256, 5, 0.1f, 100);
   LinearScalingWarmupLr large(0.1f, 1024, 256, 5, 0.1f, 100);
-  EXPECT_FLOAT_EQ(small.peak_lr(), 0.1f);
-  EXPECT_FLOAT_EQ(large.peak_lr(), 0.4f);
+  // The first step after the 5 warmup steps runs at the peak.
+  EXPECT_FLOAT_EQ(small.lr(5), 0.1f);
+  EXPECT_FLOAT_EQ(large.lr(5), 0.4f);
 }
 
 TEST(Schedules, WarmupRampsLinearly) {
@@ -53,14 +48,6 @@ TEST(Schedules, WarmupRampsLinearly) {
   EXPECT_FLOAT_EQ(s.lr(9), 1.0f);
   EXPECT_FLOAT_EQ(s.lr(10), 1.0f);   // decay epoch 0
   EXPECT_FLOAT_EQ(s.lr(110), 0.5f);  // one decay step after warmup
-}
-
-TEST(Schedules, CosineEndsNearZero) {
-  CosineLr s(2.0f, 100);
-  EXPECT_FLOAT_EQ(s.lr(0), 2.0f);
-  EXPECT_NEAR(s.lr(50), 1.0f, 1e-5);
-  EXPECT_NEAR(s.lr(100), 0.0f, 1e-5);
-  EXPECT_NEAR(s.lr(200), 0.0f, 1e-5);  // clamps past the horizon
 }
 
 TEST(SgdMomentum, PlainStepNoMomentum) {

@@ -155,12 +155,10 @@ TEST_F(ParallelTest, ParallelReduceIsThreadCountInvariant) {
   set_num_threads(1);
   const double sum1 = big.sum();
   const float l21 = big.l2_norm_sq();
-  const float max1 = big.max();
   for (std::int64_t threads : {2, 4, 8}) {
     set_num_threads(threads);
     EXPECT_EQ(big.sum(), sum1);
     EXPECT_EQ(big.l2_norm_sq(), l21);
-    EXPECT_EQ(big.max(), max1);
   }
 }
 
@@ -212,10 +210,11 @@ TEST_F(ParallelTest, Conv2dForwardAndBackwardBitwiseIdentical) {
 
 TEST_F(ParallelTest, PoolingBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(9);
-  Tensor x = Tensor::randn({4, 6, 12, 12}, rng);
+  // 64x64 planes make grain_for's chunk 8 planes, so 32 planes split 4 ways.
+  Tensor x = Tensor::randn({4, 8, 64, 64}, rng);
   auto run = [&] {
     autograd::Variable vx(x, true);
-    autograd::Variable y = nn::max_pool2d(vx, 2, 2);
+    autograd::Variable y = nn::global_avg_pool(vx);
     autograd::sum_all(y).backward();
     return std::pair<Tensor, Tensor>{y.value(), vx.grad()};
   };

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace mlperf::tensor {
 namespace {
+
+/// [0, 1, ..., n-1] as a 1-D tensor.
+Tensor iota(std::int64_t n) {
+  Tensor t({n});
+  for (std::int64_t i = 0; i < n; ++i) t[i] = static_cast<float>(i);
+  return t;
+}
 
 TEST(TensorBasics, DefaultIsEmpty) {
   Tensor t;
@@ -54,29 +62,24 @@ TEST(TensorBasics, SizeNegativeDimWraps) {
   EXPECT_THROW(t.size(3), std::invalid_argument);
 }
 
-TEST(TensorBasics, Arange) {
-  Tensor t = Tensor::arange(5);
-  for (std::int64_t i = 0; i < 5; ++i) EXPECT_EQ(t[i], static_cast<float>(i));
-}
-
 TEST(TensorReshape, InferredExtent) {
-  Tensor t = Tensor::arange(12);
+  Tensor t = iota(12);
   Tensor r = t.reshape({3, -1});
   EXPECT_EQ(r.shape(), (Shape{3, 4}));
   EXPECT_EQ(r.at({2, 3}), 11.0f);
 }
 
 TEST(TensorReshape, NumelMismatchThrows) {
-  EXPECT_THROW(Tensor::arange(12).reshape({5, 2}), std::invalid_argument);
+  EXPECT_THROW(iota(12).reshape({5, 2}), std::invalid_argument);
 }
 
 TEST(TensorReshape, DoubleInferThrows) {
-  EXPECT_THROW(Tensor::arange(12).reshape({-1, -1}), std::invalid_argument);
+  EXPECT_THROW(iota(12).reshape({-1, -1}), std::invalid_argument);
 }
 
 TEST(TensorPermute, Transpose2d) {
   Tensor t({2, 3}, {0, 1, 2, 3, 4, 5});
-  Tensor tt = t.transpose2d();
+  Tensor tt = t.permute({1, 0});
   EXPECT_EQ(tt.shape(), (Shape{3, 2}));
   EXPECT_EQ(tt.at({0, 1}), 3.0f);
   EXPECT_EQ(tt.at({2, 0}), 2.0f);
@@ -108,7 +111,7 @@ TEST(TensorPermute, BadDimsThrow) {
 }
 
 TEST(TensorSliceCat, Slice0Basic) {
-  Tensor t = Tensor::arange(12).reshape({4, 3});
+  Tensor t = iota(12).reshape({4, 3});
   Tensor s = t.slice0(1, 3);
   EXPECT_EQ(s.shape(), (Shape{2, 3}));
   EXPECT_EQ(s.at({0, 0}), 3.0f);
@@ -116,7 +119,7 @@ TEST(TensorSliceCat, Slice0Basic) {
 }
 
 TEST(TensorSliceCat, Cat0ConcatenatesAndRoundTrips) {
-  Tensor t = Tensor::arange(12).reshape({4, 3});
+  Tensor t = iota(12).reshape({4, 3});
   Tensor joined = Tensor::cat0({t.slice0(0, 2), t.slice0(2, 4)});
   ASSERT_TRUE(joined.same_shape(t));
   for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(joined[i], t[i]);
@@ -167,35 +170,9 @@ TEST(TensorBroadcast, ReduceToInvertsBroadcast) {
   EXPECT_EQ(col.at({0, 0}), 3.0f);
 }
 
-TEST(TensorReductions, SumMeanMaxMin) {
+TEST(TensorReductions, Sum) {
   Tensor t({4}, {1, -2, 3, 0});
   EXPECT_FLOAT_EQ(t.sum(), 2.0f);
-  EXPECT_FLOAT_EQ(t.mean(), 0.5f);
-  EXPECT_FLOAT_EQ(t.max(), 3.0f);
-  EXPECT_FLOAT_EQ(t.min(), -2.0f);
-  EXPECT_EQ(t.argmax(), 2);
-}
-
-TEST(TensorReductions, SumAxis) {
-  Tensor t = Tensor::arange(6).reshape({2, 3});
-  Tensor s0 = t.sum_axis(0);
-  EXPECT_EQ(s0.shape(), (Shape{3}));
-  EXPECT_FLOAT_EQ(s0[0], 3.0f);
-  EXPECT_FLOAT_EQ(s0[2], 7.0f);
-  Tensor s1 = t.sum_axis(1, /*keepdim=*/true);
-  EXPECT_EQ(s1.shape(), (Shape{2, 1}));
-  EXPECT_FLOAT_EQ(s1[0], 3.0f);
-  EXPECT_FLOAT_EQ(s1[1], 12.0f);
-}
-
-TEST(TensorReductions, MeanAndMaxAxis) {
-  Tensor t({2, 2}, {1, 5, 3, 2});
-  Tensor m = t.mean_axis(1);
-  EXPECT_FLOAT_EQ(m[0], 3.0f);
-  EXPECT_FLOAT_EQ(m[1], 2.5f);
-  Tensor mx = t.max_axis(0);
-  EXPECT_FLOAT_EQ(mx[0], 3.0f);
-  EXPECT_FLOAT_EQ(mx[1], 5.0f);
 }
 
 TEST(TensorReductions, ArgmaxLast) {
@@ -264,7 +241,7 @@ TEST(TensorSoftmax, LogSoftmaxMatchesLogOfSoftmax) {
   Rng rng(10);
   Tensor t = Tensor::randn({3, 5}, rng);
   Tensor a = t.log_softmax_last();
-  Tensor b = t.softmax_last().log();
+  Tensor b = t.softmax_last().map([](float x) { return std::log(x); });
   for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_NEAR(a[i], b[i], 1e-5);
 }
 
@@ -273,7 +250,7 @@ TEST(TensorUnary, MapAndChains) {
   Tensor r = t.relu();
   EXPECT_EQ(r[0], 0.0f);
   EXPECT_EQ(r[2], 2.0f);
-  Tensor c = t.clamp(-0.5f, 1.0f);
+  Tensor c = t.map([](float x) { return std::min(std::max(x, -0.5f), 1.0f); });
   EXPECT_EQ(c[0], -0.5f);
   EXPECT_EQ(c[2], 1.0f);
   Tensor sig = Tensor({1}, {0.0f}).sigmoid();
@@ -289,7 +266,7 @@ TEST(TensorMisc, L2NormAndFinite) {
 }
 
 TEST(TensorMisc, ToStringTruncates) {
-  Tensor t = Tensor::arange(100);
+  Tensor t = iota(100);
   const std::string s = t.to_string(4);
   EXPECT_NE(s.find("..."), std::string::npos);
 }
@@ -351,8 +328,8 @@ TEST(GemmProperty, TransposeIdentity) {
   Rng rng(13);
   Tensor a = Tensor::randn({3, 5}, rng);
   Tensor b = Tensor::randn({5, 2}, rng);
-  Tensor lhs = a.matmul(b).transpose2d();
-  Tensor rhs = b.transpose2d().matmul(a.transpose2d());
+  Tensor lhs = a.matmul(b).permute({1, 0});
+  Tensor rhs = b.permute({1, 0}).matmul(a.permute({1, 0}));
   for (std::int64_t i = 0; i < lhs.numel(); ++i) EXPECT_NEAR(lhs[i], rhs[i], 1e-4);
 }
 
