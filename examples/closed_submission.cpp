@@ -68,7 +68,8 @@ int main() {
   sub.entries.push_back(run_protocol_for(suite, core::BenchmarkId::kObjectDetectionLight));
 
   std::printf("\n== peer review ==\n");
-  const core::ComplianceReport review = core::review_submission(sub, suite, 20.0 * 60e3);
+  const core::ComplianceReport review =
+      core::review_submission(sub, suite, core::kModelCreationCapMs);
   std::printf("%s", review.to_string().c_str());
   if (!review.compliant()) {
     std::printf("submission rejected; fix the issues above and resubmit (§4.1)\n");

@@ -128,11 +128,12 @@ int main() {
   std::printf("\nClosed-division review of the custom entry (must fail — wrong model,\n");
   std::printf("wrong optimizer, reordered augmentation):\n");
   const auto closed =
-      core::review_entry(entry, suite, core::Division::kClosed, 20.0 * 60e3);
+      core::review_entry(entry, suite, core::Division::kClosed, core::kModelCreationCapMs);
   std::printf("%s", closed.to_string().c_str());
 
   std::printf("\nOpen-division review of the same entry (architecture freedom, §4.2.1):\n");
-  const auto open = core::review_entry(entry, suite, core::Division::kOpen, 20.0 * 60e3);
+  const auto open =
+      core::review_entry(entry, suite, core::Division::kOpen, core::kModelCreationCapMs);
   std::printf("%s", open.to_string().c_str());
   return open.compliant() && !closed.compliant() ? 0 : 1;
 }

@@ -26,10 +26,10 @@ std::array<std::uint32_t, 256> make_crc32c_table() {
 
 }  // namespace
 
-std::uint32_t crc32c(const void* data, std::size_t size, std::uint32_t seed) {
+std::uint32_t crc32c(const void* data, std::size_t size) {
   static const std::array<std::uint32_t, 256> table = make_crc32c_table();
   const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint32_t crc = ~seed;
+  std::uint32_t crc = 0xFFFFFFFFU;
   for (std::size_t i = 0; i < size; ++i) crc = (crc >> 8) ^ table[(crc ^ p[i]) & 0xFF];
   return ~crc;
 }

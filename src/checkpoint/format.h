@@ -42,8 +42,8 @@ inline constexpr std::uint32_t kMagic = 0x4B434C4DU;  // "MLCK" little-endian
 inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// CRC32C (Castagnoli), the checksum used per section. Software table
-/// implementation; `seed` chains incremental updates.
-std::uint32_t crc32c(const void* data, std::size_t size, std::uint32_t seed = 0);
+/// implementation.
+std::uint32_t crc32c(const void* data, std::size_t size);
 
 /// Typed little-endian append-only buffer: the payload builder for one
 /// section.

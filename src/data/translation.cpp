@@ -24,7 +24,6 @@ SyntheticTranslationDataset::SyntheticTranslationDataset(const Config& config)
 }
 
 TokenSeq SyntheticTranslationDataset::translate_reference(const TokenSeq& source) const {
-  // 1) map each word through the bijection; 2) apply the reordering rule.
   TokenSeq out;
   out.reserve(source.size());
   for (std::int64_t tok : source) {
@@ -32,18 +31,6 @@ TokenSeq SyntheticTranslationDataset::translate_reference(const TokenSeq& source
     if (word < 0 || word >= config_.vocab)
       throw std::out_of_range("translate_reference: token out of range");
     out.push_back(mapping_[static_cast<std::size_t>(word)] + kFirstWord);
-  }
-  for (std::size_t i = 0; i + 1 < out.size(); i += 2) {
-    switch (config_.reorder) {
-      case ReorderRule::kNone:
-        break;
-      case ReorderRule::kSwapAdjacent:
-        std::swap(out[i], out[i + 1]);
-        break;
-      case ReorderRule::kConditional:
-        if ((source[i] - kFirstWord) % 2 == 0) std::swap(out[i], out[i + 1]);
-        break;
-    }
   }
   return out;
 }

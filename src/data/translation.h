@@ -23,22 +23,12 @@ struct SentencePair {
   TokenSeq target;  ///< no BOS/EOS; add via helpers at batch time
 };
 
-/// How the synthetic language pair reorders tokens after the vocabulary map.
-enum class ReorderRule {
-  kNone,         ///< pure token-wise mapping (easiest)
-  kSwapAdjacent, ///< every adjacent pair swaps (fixed positional reordering)
-  kConditional,  ///< a pair swaps iff its first source word id is even
-};
-
 /// Synthetic stand-in for WMT EN-DE (see DESIGN.md substitution table).
 ///
-/// The "language pair" is a deterministic vocabulary bijection plus a local
-/// reordering rule — a task a seq2seq model genuinely must *learn* (copying
-/// alone scores poorly on BLEU), while remaining learnable at mini scale. The
-/// default kSwapAdjacent rule gives reliable convergence in tens of seconds;
-/// kConditional (reordering depends on token identity) is substantially
-/// harder and is used by the difficulty ablation. The held-out set plays the
-/// role of newstest2014.
+/// The "language pair" is a deterministic vocabulary bijection applied token
+/// by token — a task a seq2seq model genuinely must *learn* (copying alone
+/// scores poorly on BLEU), while remaining learnable at mini scale. The
+/// held-out set plays the role of newstest2014.
 class SyntheticTranslationDataset {
  public:
   struct Config {
@@ -47,7 +37,6 @@ class SyntheticTranslationDataset {
     std::int64_t max_len = 10;
     std::int64_t train_size = 384;
     std::int64_t val_size = 96;
-    ReorderRule reorder = ReorderRule::kNone;
     std::uint64_t seed = 2020;
   };
 

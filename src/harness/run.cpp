@@ -9,7 +9,6 @@
 #include "parallel/parallel_for.h"
 #include "tensor/gemm.h"
 #include "tensor/pool.h"
-#include "tensor/rng.h"
 
 namespace mlperf::harness {
 
@@ -19,16 +18,13 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
   if (checkpointing && options.checkpoint_path.empty())
     throw std::invalid_argument(
         "run_to_target: checkpoint_every_n_epochs set but checkpoint_path is empty");
-  if (options.eval_interval < 1)
-    throw std::invalid_argument("run_to_target: eval_interval must be >= 1, got " +
-                                std::to_string(options.eval_interval));
 
   parallel::set_num_threads(options.num_threads);
   nn::set_conv_pack_cache(options.conv_pack_cache, options.conv_pack_cache_cap_bytes);
   if (options.op_profile) core::OpProfile::reset();
   core::OpProfile::set_enabled(options.op_profile);
   RunOutcome outcome;
-  core::TrainingTimer timer(clock, outcome.log, options.model_creation_cap_ms);
+  core::TrainingTimer timer(clock, outcome.log, core::kModelCreationCapMs);
   core::MlLog& log = outcome.log;
 
   log.log(clock.now_ms(), core::keys::kSubmissionBenchmark, workload.name());
@@ -165,12 +161,6 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
     last_checkpoint = options.checkpoint_path;
   };
 
-  // Probabilistic faults draw from their own stream, mixed with the resume
-  // point so each restarted session rolls fresh (rather than replaying the
-  // exact failure schedule that just killed it).
-  tensor::Rng fault_rng(options.fault.seed ^
-                        (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(first_epoch + 1)));
-
   const double run_start_ms = log.find(core::keys::kRunStart)->time_ms;
   // Tensor-pool warm-up boundary: the first full iteration (train + eval +
   // possible checkpoint) touches every recurring buffer shape, so its misses
@@ -185,23 +175,18 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
     log.log(clock.now_ms(), core::keys::kEpochStop, static_cast<double>(epoch));
     outcome.epochs = epoch + 1;
 
-    const bool do_eval =
-        (epoch + 1) % options.eval_interval == 0 || epoch + 1 == options.max_epochs;
-    if (do_eval) {
-      log.log(clock.now_ms(), core::keys::kEvalStart, static_cast<double>(epoch));
-      log.log(clock.now_ms(), core::keys::kDataTouch, std::string("eval"),
-              {{"split", "val"}});
-      const double quality = workload.evaluate();
-      log.log(clock.now_ms(), core::keys::kEvalAccuracy, quality,
-              {{"epoch", std::to_string(epoch)}});
-      outcome.final_quality = quality;
-      // Elapsed timed ms so far (run still open): carried prior + now - run_start.
-      const double elapsed = timer.prior_timed_ms() + clock.now_ms() - run_start_ms;
-      outcome.curve.push_back({epoch + 1, quality, elapsed});
-      if (target.reached(quality)) {
-        outcome.quality_reached = true;
-        break;
-      }
+    log.log(clock.now_ms(), core::keys::kEvalStart, static_cast<double>(epoch));
+    log.log(clock.now_ms(), core::keys::kDataTouch, std::string("eval"), {{"split", "val"}});
+    const double quality = workload.evaluate();
+    log.log(clock.now_ms(), core::keys::kEvalAccuracy, quality,
+            {{"epoch", std::to_string(epoch)}});
+    outcome.final_quality = quality;
+    // Elapsed timed ms so far (run still open): carried prior + now - run_start.
+    const double elapsed = timer.prior_timed_ms() + clock.now_ms() - run_start_ms;
+    outcome.curve.push_back({epoch + 1, quality, elapsed});
+    if (target.reached(quality)) {
+      outcome.quality_reached = true;
+      break;
     }
 
     if (checkpointing && (epoch + 1) % options.checkpoint_every_n_epochs == 0)
@@ -210,17 +195,11 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
     if (pool_warm_misses < 0)
       pool_warm_misses = tensor::TensorPool::instance().stats().misses;
 
-    if (options.fault.enabled()) {
-      bool fire = options.fault.kill_after_epoch >= 0 &&
-                  epoch + 1 == options.fault.kill_after_epoch;
-      if (!fire && options.fault.per_epoch_fail_prob > 0.0)
-        fire = fault_rng.uniform() < options.fault.per_epoch_fail_prob;
-      if (fire) {
-        if (options.fault.action == FaultPlan::Action::kSigkill) {
-          std::raise(SIGKILL);  // real process death for the CI crash-resume leg
-        }
-        throw Preempted(epoch + 1, last_checkpoint);
+    if (epoch + 1 == options.fault.kill_after_epoch) {
+      if (options.fault.action == FaultPlan::Action::kSigkill) {
+        std::raise(SIGKILL);  // real process death for the CI crash-resume leg
       }
+      throw Preempted(epoch + 1, last_checkpoint);
     }
   }
   timer.stop_run();

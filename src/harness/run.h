@@ -22,24 +22,18 @@ struct EpochPoint {
   double elapsed_ms = 0.0;  ///< timed milliseconds since run_start
 };
 
-/// Fault-injection plan for the preemption/restart studies: either a
-/// deterministic one-shot kill after a given completed-epoch count, or an
-/// iid per-epoch failure with its own seeded rng stream (so fault timing is
-/// reproducible but independent of the training rng). Faults fire AFTER the
-/// epoch's checkpoint (if any) is written — modeling a node lost between
+/// Fault-injection plan for the preemption/restart studies: a deterministic
+/// one-shot kill after a given completed-epoch count. The fault fires AFTER
+/// the epoch's checkpoint (if any) is written — modeling a node lost between
 /// useful work, the common preemption case.
 struct FaultPlan {
   enum class Action {
-    kThrow,    ///< throw Preempted (in-process tests; run_with_restarts catches it)
+    kThrow,    ///< throw Preempted (the in-process stand-in for kSigkill)
     kSigkill,  ///< raise(SIGKILL) — the CI crash-resume leg's real process death
   };
   /// Fire once when this many epochs have completed (1-based); -1 = never.
   std::int64_t kill_after_epoch = -1;
-  /// Independent chance of failure after each epoch; 0 = never.
-  double per_epoch_fail_prob = 0.0;
-  std::uint64_t seed = 0;  ///< seeds the probabilistic-fault rng stream
   Action action = Action::kThrow;
-  bool enabled() const { return kill_after_epoch >= 0 || per_epoch_fail_prob > 0.0; }
 };
 
 /// Thrown by run_to_target when a FaultPlan preempts the session.
@@ -60,10 +54,6 @@ class Preempted : public std::runtime_error {
 struct RunOptions {
   std::uint64_t seed = 1;
   std::int64_t max_epochs = 64;          ///< safety bound; quality should hit first
-  double model_creation_cap_ms = 20.0 * 60.0 * 1000.0;  ///< paper: 20 min
-  /// Evaluate every N epochs (quality is "evaluated at prescribed
-  /// intervals", §4.1). 1 = every epoch; values below 1 are rejected.
-  std::int64_t eval_interval = 1;
   /// Threads doing tensor-kernel work (parallel::set_num_threads): the
   /// calling thread plus num_threads-1 team workers. Only a loader built
   /// with `prefetch = true` also assembles batches on a thread of its own
@@ -110,7 +100,6 @@ struct RunOutcome {
   /// section, every earlier one in "prior_logs" (a restarted submission
   /// ships one log artifact per session).
   core::MlLog log;
-  std::int64_t restarts = 0;             ///< filled by run_with_restarts
   std::int64_t resumed_from_epoch = -1;  ///< -1 when not resumed
   std::int64_t checkpoints_written = 0;
   /// Tensor-pool misses AFTER the first full train+eval iteration (the
@@ -159,36 +148,6 @@ std::vector<RunOutcome> run_protocol(MakeWorkload&& make_workload,
     outcomes.push_back(run_to_target(*workload, target, opts));
   }
   return outcomes;
-}
-
-/// Preempt/restart driver: run to target, and on each Preempted fault build a
-/// fresh workload and resume from the checkpoint the fault left behind (cold
-/// restart if none exists yet). A one-shot kill_after_epoch is disarmed once
-/// it has fired so the resumed session does not re-trip it. The factory must
-/// return something dereferenceable to a models::Workload (unique_ptr or raw
-/// pointer — the latter lets callers keep the final session's workload alive
-/// for weight fingerprinting).
-template <typename MakeWorkload>
-RunOutcome run_with_restarts(MakeWorkload&& make_workload, const core::QualityMetric& target,
-                             RunOptions options, const core::Clock& clock,
-                             std::int64_t max_restarts = 16) {
-  std::int64_t restarts = 0;
-  for (;;) {
-    auto workload = make_workload();
-    try {
-      RunOutcome outcome = run_to_target(*workload, target, options, clock);
-      outcome.restarts = restarts;
-      return outcome;
-    } catch (const Preempted& p) {
-      if (++restarts > max_restarts)
-        throw std::runtime_error("run_with_restarts: exceeded max_restarts (" +
-                                 std::to_string(max_restarts) + ")");
-      options.resume_from = p.checkpoint_path;  // empty -> cold restart
-      if (options.fault.kill_after_epoch >= 0 &&
-          p.epochs_completed >= options.fault.kill_after_epoch)
-        options.fault.kill_after_epoch = -1;  // the one-shot kill has fired
-    }
-  }
 }
 
 }  // namespace mlperf::harness

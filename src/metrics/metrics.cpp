@@ -108,11 +108,12 @@ double coco_map(const std::vector<Detection>& detections, const GroundTruth& gt,
 }
 
 double bleu(const std::vector<data::TokenSeq>& hypotheses,
-            const std::vector<data::TokenSeq>& references, int max_n) {
+            const std::vector<data::TokenSeq>& references) {
+  constexpr int max_n = 4;  // Table 1: BLEU (4-gram)
   if (hypotheses.size() != references.size() || hypotheses.empty())
     throw std::invalid_argument("bleu: size mismatch or empty");
-  std::vector<double> match(static_cast<std::size_t>(max_n), 0.0);
-  std::vector<double> total(static_cast<std::size_t>(max_n), 0.0);
+  std::vector<double> match(max_n, 0.0);
+  std::vector<double> total(max_n, 0.0);
   double hyp_len = 0.0, ref_len = 0.0;
 
   for (std::size_t s = 0; s < hypotheses.size(); ++s) {

@@ -39,11 +39,11 @@ double average_precision(const std::vector<Detection>& detections, const GroundT
 double coco_map(const std::vector<Detection>& detections, const GroundTruth& gt,
                 std::int64_t num_classes, bool use_mask_iou = false);
 
-/// Corpus-level BLEU with n-grams up to `max_n` (default 4) and brevity
-/// penalty (Table 1: GNMT and Transformer quality). Inputs exclude
-/// BOS/EOS/PAD. Returns BLEU in [0, 100].
+/// Corpus-level BLEU with n-grams up to 4 and brevity penalty (Table 1: GNMT
+/// and Transformer quality). Inputs exclude BOS/EOS/PAD. Returns BLEU in
+/// [0, 100].
 double bleu(const std::vector<data::TokenSeq>& hypotheses,
-            const std::vector<data::TokenSeq>& references, int max_n = 4);
+            const std::vector<data::TokenSeq>& references);
 
 /// Hit-rate@K over per-user ranked candidate lists: item 0 of each candidate
 /// list is the held-out positive (Table 1: NCF quality, HR@10).

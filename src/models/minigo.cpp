@@ -264,6 +264,13 @@ Mcts::Evaluator heuristic_evaluator() {
 // ---- workload ----------------------------------------------------------------
 
 MiniGoWorkload::MiniGoWorkload(Config config) : config_(std::move(config)), rng_(1) {
+  // Every reference game then has at least one move, so evaluate() always
+  // has something to predict.
+  if (config_.reference_games < 1 || config_.reference_moves_per_game < 1 ||
+      config_.max_game_moves < 1)
+    throw std::invalid_argument(
+        "MiniGoWorkload: reference_games, reference_moves_per_game and max_game_moves "
+        "must be >= 1");
   config_.model.board_size = config_.board_size;
 }
 
@@ -392,7 +399,6 @@ double MiniGoWorkload::evaluate() {
       board.play(ref);
     }
   }
-  if (predicted.empty()) return 0.0;  // top1_accuracy throws on empty input
   return metrics::top1_accuracy(predicted, reference);
 }
 

@@ -117,8 +117,11 @@ void ResNetWorkload::train_epoch() {
   std::vector<autograd::Variable> params = model_->parameters();
   while (loader.has_next()) {
     data::ImageBatch batch = loader.next();
-    // Figure-1 emulation: master weights stay fp32; forward/backward see the
-    // quantized copy, and the update is re-quantized afterwards.
+    // Figure-1 emulation: forward/backward see the quantized weights, the
+    // update lands on the pre-quantization copy, and the result is quantized
+    // again. Every step thus ends on weights that quantize_tensor maps to
+    // themselves, so the copy differs from the quantized view only on the
+    // first step: no fp32 master survives across steps.
     std::vector<Tensor> master;
     if (quantized) {
       master.reserve(params.size());

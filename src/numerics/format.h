@@ -34,17 +34,6 @@ float quantize_value(float v, Format f);
 /// for |w| > delta, else 0.
 tensor::Tensor quantize_tensor(const tensor::Tensor& t, Format f);
 
-/// Where quantization is applied during training. Weight-only matches the
-/// Figure-1 study ("different weight representations"); master weights stay
-/// fp32 and a quantized copy is used for forward/backward, which is how
-/// mixed-precision training is actually deployed (Micikevicius et al. 2018).
-struct QuantizationPolicy {
-  Format weight_format = Format::kFP32;
-  Format gradient_format = Format::kFP32;
-  /// Loss-scaling factor for small-magnitude gradients (1.0 = off).
-  float loss_scale = 1.0f;
-};
-
 // Low-level converters, exposed for tests.
 std::uint16_t float_to_half_bits(float v);
 float half_bits_to_float(std::uint16_t h);

@@ -47,9 +47,6 @@ class Tensor {
   Tensor& operator=(Tensor&& other) noexcept;
 
   // ----- factories ---------------------------------------------------------
-  static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
-  static Tensor ones(Shape shape) { return Tensor(std::move(shape), 1.0f); }
-  static Tensor full(Shape shape, float v) { return Tensor(std::move(shape), v); }
   static Tensor scalar(float v) { return Tensor({1}, {v}); }
   /// I.i.d. N(mean, stddev) entries.
   static Tensor randn(Shape shape, Rng& rng, float mean = 0.0f, float stddev = 1.0f);

@@ -421,7 +421,7 @@ TEST(AccumulateGrad, MoveInFirstTouchNormalizesNegativeZero) {
 TEST(AccumulateGrad, MoveInFirstTouchAdoptsTheBuffer) {
   detail::Node node;
   node.value = Tensor({3, 5});
-  Tensor g = Tensor::full({3, 5}, 2.0f);
+  Tensor g({3, 5}, 2.0f);
   const float* buffer = g.data();
   node.accumulate_grad(std::move(g));
   EXPECT_EQ(node.grad.data(), buffer) << "first touch must not copy";

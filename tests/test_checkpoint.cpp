@@ -401,6 +401,35 @@ std::uint64_t final_weights_hash(models::Workload& w, BenchmarkId id) {
   return hash_module(*dynamic_cast<models::ResNetWorkload&>(w).model());
 }
 
+// One preempted-and-restarted training history: the final session's outcome
+// and workload, and how many Preempted faults led up to it.
+struct RestartedRun {
+  RunOutcome outcome;
+  std::unique_ptr<models::Workload> workload;
+  std::int64_t restarts = 0;
+};
+
+// Runs `id` to the target; on each Preempted fault, builds a fresh workload
+// and resumes it from the checkpoint the fault left behind. The kill fires
+// once, or with `kill_every_session` one epoch into every resumed session.
+RestartedRun run_with_restarts(BenchmarkId id, const core::QualityMetric& target,
+                               RunOptions options, const core::Clock& clock,
+                               bool kill_every_session = false) {
+  RestartedRun run;
+  for (;;) {
+    run.workload = harness::make_reference_workload(id, WorkloadScale::kSmoke);
+    try {
+      run.outcome = harness::run_to_target(*run.workload, target, options, clock);
+      return run;
+    } catch (const harness::Preempted& p) {
+      if (++run.restarts > options.max_epochs)
+        throw std::runtime_error("run_with_restarts: more restarts than epochs");
+      options.resume_from = p.checkpoint_path;
+      options.fault.kill_after_epoch = kill_every_session ? p.epochs_completed + 1 : -1;
+    }
+  }
+}
+
 class ResumeBitwise : public ::testing::TestWithParam<ResumeCase> {};
 
 TEST_P(ResumeBitwise, KillAtEpochKResumesIdentically) {
@@ -427,20 +456,15 @@ TEST_P(ResumeBitwise, KillAtEpochKResumesIdentically) {
       tmp_path("resume_" + spec.name + "_t" + std::to_string(c.threads) + ".ckpt");
   // Preempt strictly before the converging epoch so the fault actually fires.
   faulted.fault.kill_after_epoch = std::max<std::int64_t>(1, baseline.epochs / 2);
-  std::unique_ptr<models::Workload> current;
-  const RunOutcome resumed = harness::run_with_restarts(
-      [&] {
-        current = harness::make_reference_workload(c.id, WorkloadScale::kSmoke);
-        return current.get();
-      },
-      target, faulted, clock);
+  const RestartedRun run = run_with_restarts(c.id, target, faulted, clock);
+  const RunOutcome& resumed = run.outcome;
 
-  EXPECT_EQ(resumed.restarts, 1);
+  EXPECT_EQ(run.restarts, 1);
   EXPECT_EQ(resumed.resumed_from_epoch, faulted.fault.kill_after_epoch);
   EXPECT_TRUE(resumed.quality_reached);
   EXPECT_EQ(resumed.epochs, baseline.epochs);
   EXPECT_EQ(harness::outcome_fingerprint(resumed), harness::outcome_fingerprint(baseline));
-  EXPECT_EQ(final_weights_hash(*current, c.id), baseline_hash)
+  EXPECT_EQ(final_weights_hash(*run.workload, c.id), baseline_hash)
       << "resumed final weights differ bitwise from the uninterrupted run";
   // The restored session logged the restore inside the timed window.
   EXPECT_NE(resumed.log.find(core::keys::kCheckpointRestored), nullptr);
@@ -495,44 +519,11 @@ TEST(Resume, ResumingTheSameCheckpointTwiceIsIdempotent) {
   EXPECT_EQ(prints[0], prints[1]);
 }
 
-TEST(Resume, ProbabilisticFaultsStillConvergeIdentically) {
-  const core::SuiteVersion suite = core::suite_v05();
-  const core::BenchmarkSpec& spec = core::find_spec(suite, BenchmarkId::kRecommendation);
-  const core::QualityMetric target = harness::scaled_target(spec, WorkloadScale::kSmoke);
-  core::SteadyClock clock;
-
-  RunOptions opts;
-  opts.seed = 9;
-  opts.max_epochs = 40;
-  auto baseline_w =
-      harness::make_reference_workload(BenchmarkId::kRecommendation, WorkloadScale::kSmoke);
-  const RunOutcome baseline = harness::run_to_target(*baseline_w, target, opts, clock);
-  ASSERT_TRUE(baseline.quality_reached);
-
-  RunOptions faulted = opts;
-  faulted.checkpoint_every_n_epochs = 1;
-  faulted.checkpoint_path = tmp_path("probabilistic.ckpt");
-  faulted.fault.per_epoch_fail_prob = 0.5;
-  faulted.fault.seed = 1234;
-  std::unique_ptr<models::Workload> current;
-  const RunOutcome resumed = harness::run_with_restarts(
-      [&] {
-        current = harness::make_reference_workload(BenchmarkId::kRecommendation,
-                                                   WorkloadScale::kSmoke);
-        return current.get();
-      },
-      target, faulted, clock, /*max_restarts=*/64);
-  EXPECT_TRUE(resumed.quality_reached);
-  EXPECT_EQ(harness::outcome_fingerprint(resumed), harness::outcome_fingerprint(baseline));
-  EXPECT_EQ(final_weights_hash(*current, BenchmarkId::kRecommendation),
-            final_weights_hash(*baseline_w, BenchmarkId::kRecommendation));
-}
-
 // Regression: a second-generation ResNet checkpoint (save -> restore -> train
 // -> save -> restore) used to record the rebuilt loader's session-local epoch
 // count against the cumulative trained-epoch count and reject its own file on
 // the second restore. Multi-restart runs must survive any number of
-// preemptions.
+// preemptions: here one after every epoch.
 TEST(Resume, ResnetSurvivesMultipleRestarts) {
   const core::SuiteVersion suite = core::suite_v05();
   const core::BenchmarkSpec& spec =
@@ -552,23 +543,17 @@ TEST(Resume, ResnetSurvivesMultipleRestarts) {
   RunOptions faulted = opts;
   faulted.checkpoint_every_n_epochs = 1;
   faulted.checkpoint_path = tmp_path("resnet_multi_restart.ckpt");
-  faulted.fault.per_epoch_fail_prob = 0.9;  // high enough to preempt every session
-  faulted.fault.seed = 77;
-  std::unique_ptr<models::Workload> current;
-  const RunOutcome resumed = harness::run_with_restarts(
-      [&] {
-        current = harness::make_reference_workload(BenchmarkId::kImageClassification,
-                                                   WorkloadScale::kSmoke);
-        return current.get();
-      },
-      target, faulted, clock, /*max_restarts=*/64);
+  faulted.fault.kill_after_epoch = 1;
+  const RestartedRun run = run_with_restarts(BenchmarkId::kImageClassification, target,
+                                             faulted, clock, /*kill_every_session=*/true);
+  const RunOutcome& resumed = run.outcome;
 
-  ASSERT_GE(resumed.restarts, 2)
-      << "fault plan only preempted once; raise per_epoch_fail_prob or change seed";
+  // Preempted after every epoch but the one that reaches the target.
+  EXPECT_EQ(run.restarts, baseline.epochs - 1);
   EXPECT_TRUE(resumed.quality_reached);
   EXPECT_EQ(resumed.epochs, baseline.epochs);
   EXPECT_EQ(harness::outcome_fingerprint(resumed), harness::outcome_fingerprint(baseline));
-  EXPECT_EQ(final_weights_hash(*current, BenchmarkId::kImageClassification),
+  EXPECT_EQ(final_weights_hash(*run.workload, BenchmarkId::kImageClassification),
             final_weights_hash(*baseline_w, BenchmarkId::kImageClassification))
       << "multi-restart final weights differ bitwise from the uninterrupted run";
 }
@@ -811,19 +796,14 @@ TEST_P(WorkloadResume, KillAfterEpochOneResumesIdentically) {
   faulted.checkpoint_every_n_epochs = 1;
   faulted.checkpoint_path = tmp_path("workload_resume_" + spec.name + ".ckpt");
   faulted.fault.kill_after_epoch = 1;
-  std::unique_ptr<models::Workload> current;
-  const RunOutcome resumed = harness::run_with_restarts(
-      [&] {
-        current = harness::make_reference_workload(id, WorkloadScale::kSmoke);
-        return current.get();
-      },
-      target, faulted, clock);
+  const RestartedRun run = run_with_restarts(id, target, faulted, clock);
+  const RunOutcome& resumed = run.outcome;
 
-  EXPECT_EQ(resumed.restarts, 1);
+  EXPECT_EQ(run.restarts, 1);
   EXPECT_EQ(resumed.resumed_from_epoch, 1);
   EXPECT_EQ(resumed.epochs, 3);
   EXPECT_EQ(harness::outcome_fingerprint(resumed), harness::outcome_fingerprint(baseline));
-  EXPECT_EQ(hash_module(*current->training_state().model),
+  EXPECT_EQ(hash_module(*run.workload->training_state().model),
             hash_module(*baseline_w->training_state().model))
       << "resumed final weights differ bitwise from the uninterrupted run";
 }

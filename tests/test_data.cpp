@@ -386,20 +386,6 @@ TEST(TranslationData, ReferenceMappingIsBijective) {
   EXPECT_EQ(static_cast<std::int64_t>(images.size()), ds.config().vocab);
 }
 
-TEST(TranslationData, ReorderRules) {
-  SyntheticTranslationDataset::Config cfg;
-  cfg.reorder = ReorderRule::kSwapAdjacent;
-  SyntheticTranslationDataset swap_ds(cfg);
-  cfg.reorder = ReorderRule::kNone;
-  SyntheticTranslationDataset none_ds(cfg);
-  TokenSeq src = {kFirstWord, kFirstWord + 1, kFirstWord + 2, kFirstWord + 3};
-  const TokenSeq plain = none_ds.translate_reference(src);
-  const TokenSeq swapped = swap_ds.translate_reference(src);
-  EXPECT_EQ(plain[0], swapped[1]);
-  EXPECT_EQ(plain[1], swapped[0]);
-  EXPECT_EQ(plain[2], swapped[3]);
-}
-
 TEST(TranslationData, TargetsAreConsistentWithReference) {
   SyntheticTranslationDataset ds({});
   for (std::int64_t i = 0; i < 20; ++i) {

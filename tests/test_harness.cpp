@@ -83,32 +83,6 @@ TEST(Harness, CurveRecordsEveryEvaluation) {
   EXPECT_DOUBLE_EQ(out.curve[3].quality, 0.9);
 }
 
-TEST(Harness, EvalIntervalSkipsEvaluations) {
-  ScriptedWorkload w({0.1, 0.2, 0.3, 0.4, 0.95, 0.95});
-  core::QualityMetric target{"q", 0.9, true};
-  RunOptions opts;
-  opts.max_epochs = 10;
-  opts.eval_interval = 2;
-  core::ManualClock clock;
-  const RunOutcome out = run_to_target(w, target, opts, clock);
-  EXPECT_TRUE(out.quality_reached);
-  EXPECT_EQ(out.epochs, 6);         // evals at 2, 4, 6
-  EXPECT_EQ(out.curve.size(), 3u);
-}
-
-TEST(Harness, RejectsEvalIntervalBelowOne) {
-  // eval_interval is a divisor of the epoch count: 0 used to divide by zero.
-  core::QualityMetric target{"q", 0.9, true};
-  core::ManualClock clock;
-  for (std::int64_t interval : {0, -1}) {
-    ScriptedWorkload w({0.1, 0.95});
-    RunOptions opts;
-    opts.eval_interval = interval;
-    EXPECT_THROW(run_to_target(w, target, opts, clock), std::invalid_argument)
-        << "eval_interval " << interval;
-  }
-}
-
 TEST(Harness, DispatchedKernelIsaIsLogged) {
   ScriptedWorkload w({1.0});
   core::QualityMetric target{"q", 0.5, true};

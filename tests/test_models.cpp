@@ -114,6 +114,40 @@ TEST(ResNetWorkload, QuantizedTrainingStillLearnsButDiffers) {
   EXPECT_GT(w.evaluate(), 0.30);  // > chance (0.25) with margin
 }
 
+// The Figure-1 step quantizes the weights again after every update, so each
+// step ends on a fixed point of quantize_tensor: the pre-quantization copy
+// that the next step updates equals its quantized view, and no fp32 master
+// survives past the first step.
+class QuantizedWeightsTest : public ::testing::TestWithParam<numerics::Format> {};
+
+TEST_P(QuantizedWeightsTest, EpochEndsOnQuantizationFixedPoint) {
+  ResNetWorkload::Config cfg;
+  cfg.dataset.height = 8;
+  cfg.dataset.width = 8;
+  cfg.dataset.num_classes = 4;
+  cfg.dataset.train_size = 64;
+  cfg.dataset.val_size = 32;
+  cfg.model.num_classes = 4;
+  cfg.model.stage_channels = {6, 8};
+  cfg.weight_format = GetParam();
+  ResNetWorkload w(cfg);
+  w.prepare_data();
+  w.build_model(5);
+  w.train_epoch();
+  for (const auto& [name, p] : w.model()->named_parameters()) {
+    const Tensor q = numerics::quantize_tensor(p.value(), GetParam());
+    EXPECT_EQ(std::memcmp(q.data(), p.value().data(),
+                          static_cast<std::size_t>(q.numel()) * sizeof(float)),
+              0)
+        << name << " changed when quantized again";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, QuantizedWeightsTest,
+                         ::testing::Values(numerics::Format::kBF16, numerics::Format::kFP16,
+                                           numerics::Format::kFP8E4M3,
+                                           numerics::Format::kTernary));
+
 // ---- SSD ---------------------------------------------------------------------
 
 TEST(Ssd, AnchorGridCoversUnitSquare) {
@@ -604,16 +638,16 @@ TEST(MiniGoWorkload, MovePredictionImprovesOnSmoke) {
   EXPECT_GT(w.evaluate(), before);
 }
 
-TEST(MiniGoWorkload, NoReferenceGamesEvaluatesToZero) {
-  // Nothing to predict: evaluate() reports 0 rather than calling
-  // metrics::top1_accuracy, which throws on empty input.
-  MiniGoWorkload::Config cfg;
-  cfg.reference_games = 0;
-  MiniGoWorkload w(cfg);
-  w.prepare_data();
-  EXPECT_TRUE(w.reference_games().empty());
-  w.build_model(10);
-  EXPECT_EQ(w.evaluate(), 0.0);
+TEST(MiniGoWorkload, RejectsConfigsWithNothingToPredict) {
+  // evaluate() needs at least one reference move to score.
+  for (std::int64_t MiniGoWorkload::Config::*field :
+       {&MiniGoWorkload::Config::reference_games,
+        &MiniGoWorkload::Config::reference_moves_per_game,
+        &MiniGoWorkload::Config::max_game_moves}) {
+    MiniGoWorkload::Config cfg;
+    cfg.*field = 0;
+    EXPECT_THROW(MiniGoWorkload{cfg}, std::invalid_argument);
+  }
 }
 
 TEST(MiniGoWorkload, FixedSeedNondeterminismFlag) {

@@ -175,7 +175,7 @@ TEST_P(IdempotenceTest, QuantizeTwiceEqualsOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Formats, IdempotenceTest,
                          ::testing::Values(Format::kFP32, Format::kFP16, Format::kBF16,
-                                           Format::kFP8E4M3));
+                                           Format::kFP8E4M3, Format::kTernary));
 
 }  // namespace
 }  // namespace mlperf::numerics
