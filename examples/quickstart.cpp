@@ -15,8 +15,10 @@
 //   --resume_from=FILE             resume a preempted run from this checkpoint
 //   --kill_after_epoch=K           fault injection: SIGKILL after epoch K
 //                                  (for crash-resume testing; exits 137)
-//   --pool_stats                   print tensor-pool counters after the run;
-//                                  CI greps the steady-state miss line
+//   --pool_stats                   print tensor-pool counters after the run,
+//                                  then the workload's own counters (MiniGo:
+//                                  infer_cache_hits/misses); CI greps the
+//                                  steady-state miss line and the hit count
 //   --op_profile                   per-op cumulative time profile: prints one
 //                                  line per instrumented op after the run
 //                                  (also emitted as op_profile log events)
@@ -182,6 +184,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(nn::im2col_calls()),
                 nn::conv_pack_cache_enabled() ? "on" : "off",
                 static_cast<long long>(nn::conv_pack_cache_live_bytes()));
+    // The workload's own counters, e.g. MiniGo's evaluation-cache hits.
+    for (const auto& [name, count] : workload->counters())
+      std::printf("%s: %lld\n", name.c_str(), static_cast<long long>(count));
   }
   if (op_profile) {
     std::printf("\nper-op cumulative time (summed across worker threads):\n");

@@ -64,6 +64,10 @@ inline constexpr const char* kCheckpointRestored = "checkpoint_restored";
 // steady-state misses is the "no allocations in the hot loop" invariant the
 // CI smoke leg enforces.
 inline constexpr const char* kTensorPoolStats = "tensor_pool_stats";
+// A workload's own counters at run_stop (Workload::counters): one event per
+// counter, value = its count, meta carries the counter name. MiniGo reports
+// its evaluation cache's hits and misses.
+inline constexpr const char* kWorkloadCounter = "workload_counter";
 // Per-op cumulative time profile at run_stop (RunOptions::op_profile): one
 // event per instrumented op, value = total nanoseconds summed across worker
 // threads (CPU-time-style attribution), meta carries the op name and call

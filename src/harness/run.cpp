@@ -211,6 +211,9 @@ RunOutcome run_to_target(models::Workload& workload, const core::QualityMetric& 
           {{"hits", std::to_string(pool_stats.hits)},
            {"misses", std::to_string(pool_stats.misses)},
            {"bytes_cached", std::to_string(pool_stats.bytes_cached)}});
+  for (const auto& [name, count] : workload.counters())
+    log.log(clock.now_ms(), core::keys::kWorkloadCounter, static_cast<double>(count),
+            {{"name", name}});
   if (options.op_profile) {
     for (const core::OpProfile::Entry& e : core::OpProfile::snapshot())
       log.log(clock.now_ms(), core::keys::kOpProfile, static_cast<double>(e.total_ns),

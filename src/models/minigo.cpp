@@ -1,6 +1,7 @@
 #include "models/minigo.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -16,9 +17,11 @@ using go::Move;
 using go::Stone;
 using tensor::Tensor;
 
-Tensor board_planes(const Board& board) {
+namespace {
+
+// Writes board_planes(board) into planes[0, 3 n n), which holds zeros.
+void write_board_planes(const Board& board, float* planes) {
   const std::int64_t n = board.size();
-  Tensor planes({3, n, n});
   const Stone me = board.to_play();
   const Stone opp = go::opponent(me);
   for (std::int64_t p = 0; p < n * n; ++p) {
@@ -27,6 +30,14 @@ Tensor board_planes(const Board& board) {
     else if (s == opp) planes[n * n + p] = 1.0f;
     planes[2 * n * n + p] = me == Stone::kBlack ? 1.0f : 0.0f;
   }
+}
+
+}  // namespace
+
+Tensor board_planes(const Board& board) {
+  const std::int64_t n = board.size();
+  Tensor planes({3, n, n});
+  write_board_planes(board, planes.data());
   return planes;
 }
 
@@ -86,15 +97,12 @@ std::pair<std::vector<float>, float> PolicyValueNet::infer(const Board& board) {
   autograd::NoGradGuard no_grad;  // forward only: record no graph
   const bool was_training = training();
   set_training(false);
-  Tensor planes = board_planes(board);
   Tensor batch({1, 3, board.size(), board.size()});
-  std::copy(planes.vec().begin(), planes.vec().end(), batch.vec().begin());
-  Output out = forward(Variable(batch));
+  write_board_planes(board, batch.data());
+  Output out = forward(Variable(std::move(batch)));
   set_training(was_training);
-  Tensor probs = out.policy_logits.value().softmax_last();
-  std::vector<float> prior(static_cast<std::size_t>(probs.numel()));
-  for (std::int64_t i = 0; i < probs.numel(); ++i) prior[static_cast<std::size_t>(i)] = probs[i];
-  return {std::move(prior), out.value.value()[0]};
+  const Tensor probs = out.policy_logits.value().softmax_last();
+  return {probs.vec(), out.value.value()[0]};
 }
 
 // ---- MCTS -------------------------------------------------------------------
@@ -304,6 +312,74 @@ void MiniGoWorkload::build_model(std::uint64_t seed) {
   net_ = std::make_unique<PolicyValueNet>(config_.model, init_rng);
   optimizer_ = std::make_unique<optim::SgdMomentum>(net_->parameters(), config_.momentum);
   replay_.clear();
+  // The most positions infer() meets between two clears: every simulation of
+  // an epoch's self-play plus every evaluate() position. Reserving that much
+  // up front keeps the storage from moving while it fills.
+  cache_capacity_ = static_cast<std::size_t>(
+      config_.selfplay_games_per_epoch * config_.max_game_moves * config_.mcts.simulations +
+      config_.reference_games * config_.reference_moves_per_game);
+  const auto words = static_cast<std::size_t>(config_.board_size * config_.board_size / 32 + 1);
+  cache_keys_.reserve(cache_capacity_ * words);
+  cache_priors_.reserve(cache_capacity_ * static_cast<std::size_t>(net_->num_moves()));
+  cache_values_.reserve(cache_capacity_);
+  std::size_t slots = 1;
+  while (slots < 2 * cache_capacity_) slots *= 2;  // at most half full
+  cache_slots_.assign(slots, -1);
+  clear_infer_cache();
+  cache_hits_ = cache_misses_ = 0;
+}
+
+void MiniGoWorkload::clear_infer_cache() {
+  cache_keys_.clear();
+  cache_priors_.clear();
+  cache_values_.clear();
+  std::fill(cache_slots_.begin(), cache_slots_.end(), -1);
+}
+
+std::pair<std::vector<float>, float> MiniGoWorkload::infer(const Board& board) {
+  if (!net_) throw std::logic_error("MiniGoWorkload: not prepared");
+  if (board.size() != config_.board_size)
+    throw std::invalid_argument("MiniGoWorkload::infer: board size differs from the net's");
+  // The key: go::Stone's two bits per point, then one for the side to play.
+  const std::int64_t points = board.num_points();
+  const auto words = static_cast<std::size_t>(points / 32 + 1);
+  std::array<std::uint64_t, Board::kMaxPoints / 32 + 1> key{};
+  for (std::int64_t p = 0; p < points; ++p)
+    key[static_cast<std::size_t>(p / 32)] |= static_cast<std::uint64_t>(board.at(p))
+                                             << (2 * (p % 32));
+  if (board.to_play() == Stone::kWhite)
+    key[words - 1] |= std::uint64_t{1} << (2 * (points % 32));
+
+  const auto moves = static_cast<std::size_t>(net_->num_moves());
+  const std::size_t mask = cache_slots_.size() - 1;
+  // The stones' Zobrist hash, flipped for white to play, picks the slot.
+  const std::uint64_t hash =
+      board.position_hash() ^ (board.to_play() == Stone::kWhite ? 0x9e3779b97f4a7c15ULL : 0);
+  const std::size_t home = hash & mask;
+  std::size_t slot = home;
+  for (; cache_slots_[slot] >= 0; slot = (slot + 1) & mask) {
+    const auto e = static_cast<std::size_t>(cache_slots_[slot]);
+    if (std::equal(key.begin(), key.begin() + words, cache_keys_.begin() + e * words)) {
+      ++cache_hits_;
+      const auto prior = cache_priors_.begin() + e * moves;
+      return {std::vector<float>(prior, prior + moves), cache_values_[e]};
+    }
+  }
+  ++cache_misses_;
+  auto out = net_->infer(board);
+  if (cache_values_.size() == cache_capacity_) {  // only calls from outside the workload
+    clear_infer_cache();
+    slot = home;
+  }
+  cache_slots_[slot] = static_cast<std::int32_t>(cache_values_.size());
+  cache_keys_.insert(cache_keys_.end(), key.begin(), key.begin() + words);
+  cache_priors_.insert(cache_priors_.end(), out.first.begin(), out.first.end());
+  cache_values_.push_back(out.second);
+  return out;
+}
+
+std::map<std::string, std::int64_t> MiniGoWorkload::counters() const {
+  return {{"infer_cache_hits", cache_hits_}, {"infer_cache_misses", cache_misses_}};
 }
 
 void MiniGoWorkload::train_batch(const std::vector<const SelfPlayExample*>& batch) {
@@ -339,7 +415,7 @@ void MiniGoWorkload::train_batch(const std::vector<const SelfPlayExample*>& batc
 void MiniGoWorkload::train_epoch() {
   if (!net_) throw std::logic_error("MiniGoWorkload: not prepared");
   // 1) Self-play data generation with the current net.
-  Mcts::Evaluator eval = [this](const Board& b) { return net_->infer(b); };
+  Mcts::Evaluator eval = [this](const Board& b) { return infer(b); };
   for (std::int64_t g = 0; g < config_.selfplay_games_per_epoch; ++g) {
     SelfPlayResult game =
         self_play_game(config_.mcts, eval, config_.board_size, config_.komi,
@@ -351,8 +427,10 @@ void MiniGoWorkload::train_epoch() {
     }
   }
   // 2) Gradient steps: batches mix self-play replay with reference-game
-  //    positions per config_.reference_mix (see header).
+  //    positions per config_.reference_mix (see header). They change the
+  //    weights and BatchNorm statistics, so every cached answer goes stale.
   if (replay_.empty() && reference_examples_.empty()) return;
+  clear_infer_cache();
   for (std::int64_t b = 0; b < config_.train_batches_per_epoch; ++b) {
     std::vector<const SelfPlayExample*> batch;
     batch.reserve(static_cast<std::size_t>(config_.batch_size));
@@ -381,7 +459,7 @@ double MiniGoWorkload::evaluate() {
         std::min<std::int64_t>(static_cast<std::int64_t>(game.moves.size()),
                                config_.reference_moves_per_game);
     for (std::int64_t m = 0; m < limit; ++m) {
-      auto [prior, value] = net_->infer(board);
+      auto [prior, value] = infer(board);
       (void)value;
       // Predicted move: highest-probability *legal* move.
       std::int64_t best = -1;

@@ -157,8 +157,22 @@ class MiniGoWorkload : public Workload {
   const std::vector<go::GameRecord>& reference_games() const { return references_; }
   PolicyValueNet* net() { return net_.get(); }
 
+  /// net()->infer(board) through the evaluation cache, which self-play and
+  /// evaluate() both use. Its answers are bitwise those of net()->infer: the
+  /// key is the exact position, every point's stone plus the side to play
+  /// (all that board_planes encodes), and lookups compare the whole key, so
+  /// a hash collision cannot change a result. build_model and train_epoch's
+  /// gradient steps, the only code that changes the weights or BatchNorm
+  /// statistics, empty the cache first. It holds what self-play and
+  /// evaluate() can add between two of those; a miss on a full cache
+  /// empties it too.
+  std::pair<std::vector<float>, float> infer(const go::Board& board);
+  /// infer_cache_hits and infer_cache_misses since build_model.
+  std::map<std::string, std::int64_t> counters() const override;
+
  private:
   void train_batch(const std::vector<const SelfPlayExample*>& batch);
+  void clear_infer_cache();
 
   Config config_;
   std::vector<go::GameRecord> references_;
@@ -167,6 +181,16 @@ class MiniGoWorkload : public Workload {
   std::unique_ptr<optim::SgdMomentum> optimizer_;
   std::deque<SelfPlayExample> replay_;
   tensor::Rng rng_;
+  // The evaluation cache, in flat arrays: entry i holds key words
+  // [i * w, (i + 1) * w) of cache_keys_ (w = board points / 32 + 1) and
+  // priors [i * m, (i + 1) * m) of cache_priors_ (m = net_->num_moves()).
+  std::vector<std::uint64_t> cache_keys_;
+  std::vector<float> cache_priors_;
+  std::vector<float> cache_values_;
+  std::vector<std::int32_t> cache_slots_;  ///< open addressing: entry index, -1 = free
+  std::size_t cache_capacity_ = 0;         ///< entries; a miss on a full cache clears it
+  std::int64_t cache_hits_ = 0;
+  std::int64_t cache_misses_ = 0;
 };
 
 /// The teacher evaluator: uniform priors + Tromp-Taylor heuristic value.

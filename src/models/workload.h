@@ -49,6 +49,10 @@ class Workload {
   virtual std::string model_signature() const = 0;
   virtual std::string optimizer_name() const = 0;
   virtual std::string augmentation_signature() const { return ""; }
+  /// Named event counts from the run so far (e.g. cache hits), which the
+  /// harness logs once at run end as `workload_counter` events. Empty by
+  /// default: most workloads count nothing.
+  virtual std::map<std::string, std::int64_t> counters() const { return {}; }
 };
 
 /// The translation pair's eval (GNMT and Transformer): corpus BLEU of greedy

@@ -8,6 +8,7 @@
 #include "checkpoint/state.h"
 #include "core/review.h"
 #include "harness/reference.h"
+#include "models/minigo.h"
 #include "tensor/gemm.h"
 
 namespace mlperf::harness {
@@ -98,6 +99,32 @@ TEST(Harness, DispatchedKernelIsaIsLogged) {
                         [&](const core::LogEvent& e) { return e.key == key; });
   };
   EXPECT_LT(at(core::keys::kKernelIsa), at(core::keys::kRunStart));
+}
+
+TEST(Harness, LogsWorkloadCountersOnceAtRunEnd) {
+  class CountingWorkload : public ScriptedWorkload {
+   public:
+    using ScriptedWorkload::ScriptedWorkload;
+    std::map<std::string, std::int64_t> counters() const override {
+      return {{"hits", 3}, {"misses", 0}};
+    }
+  };
+  core::QualityMetric target{"q", 0.5, true};
+  core::ManualClock clock;
+  ScriptedWorkload plain({0.1, 0.9});
+  EXPECT_TRUE(run_to_target(plain, target, RunOptions{}, clock)
+                  .log.find_all(core::keys::kWorkloadCounter)
+                  .empty());
+  CountingWorkload counting({0.1, 0.9});
+  const RunOutcome out = run_to_target(counting, target, RunOptions{}, clock);
+  const auto events = out.log.find_all(core::keys::kWorkloadCounter);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0]->meta.at("name"), "hits");
+  EXPECT_EQ(events[0]->as_number(), 3.0);
+  EXPECT_EQ(events[1]->meta.at("name"), "misses");
+  EXPECT_EQ(events[1]->as_number(), 0.0);
+  // Logged with the run-end statistics, after the last eval.
+  EXPECT_GT(events[0], out.log.find_last(core::keys::kEvalAccuracy));
 }
 
 TEST(Harness, SeedIsPassedToWorkloadAndLogged) {
@@ -305,6 +332,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TrainedBitsCase>& info) {
       return core::find_spec(core::suite_v05(), info.param.id).name;
     });
+
+// The same pin for MiniGo, whose net lies outside any checkpoint view
+// (training_state().model is empty), so the weights are hashed through
+// net(). Self-play and evaluate() both read the net's answers, so any change
+// in what infer returns shows up here.
+TEST(MiniGoWorkload, SmokeEpochsMatchRecordedBits) {
+  const auto suite = core::suite_v05();
+  const auto& spec = core::find_spec(suite, BenchmarkId::kReinforcementLearning);
+  core::QualityMetric target = scaled_target(spec, WorkloadScale::kSmoke);
+  target.target = 1e9;  // unreachable: exactly max_epochs train
+  RunOptions opts;
+  opts.seed = 17;
+  opts.max_epochs = 6;
+  auto w = make_reference_workload(spec.id, WorkloadScale::kSmoke);
+  const RunOutcome out = run_to_target(*w, target, opts);
+  ASSERT_EQ(out.epochs, opts.max_epochs);
+  ASSERT_TRUE(std::any_of(out.curve.begin(), out.curve.end(),
+                          [](const EpochPoint& p) { return p.quality > 0.0; }));
+  EXPECT_EQ(outcome_fingerprint(out), 6781361455988515078ULL);
+  EXPECT_EQ(checkpoint::hash_module(*dynamic_cast<models::MiniGoWorkload&>(*w).net()),
+            8536454019905287857ULL);
+}
 
 }  // namespace
 }  // namespace mlperf::harness

@@ -650,6 +650,125 @@ TEST(MiniGoWorkload, RejectsConfigsWithNothingToPredict) {
   }
 }
 
+// The smoke-scale MiniGo of harness::make_reference_workload.
+MiniGoWorkload::Config smoke_minigo_config() {
+  MiniGoWorkload::Config cfg;
+  cfg.mcts.simulations = 8;
+  cfg.selfplay_games_per_epoch = 1;
+  cfg.max_game_moves = 20;
+  cfg.train_batches_per_epoch = 8;
+  cfg.reference_games = 2;
+  cfg.reference_teacher_sims = 16;
+  cfg.reference_moves_per_game = 10;
+  return cfg;
+}
+
+bool same_bits(const std::pair<std::vector<float>, float>& a,
+               const std::pair<std::vector<float>, float>& b) {
+  return a.first.size() == b.first.size() &&
+         std::memcmp(a.first.data(), b.first.data(), a.first.size() * sizeof(float)) == 0 &&
+         std::memcmp(&a.second, &b.second, sizeof(float)) == 0;
+}
+
+TEST(MiniGoWorkload, CachedInferIsBitwiseFreshInferOverASelfPlayGame) {
+  const MiniGoWorkload::Config cfg = smoke_minigo_config();
+  MiniGoWorkload w(cfg);
+  w.build_model(5);
+  std::int64_t calls = 0;
+  const Mcts::Evaluator checked = [&](const go::Board& b) {
+    ++calls;
+    auto cached = w.infer(b);
+    EXPECT_TRUE(same_bits(cached, w.net()->infer(b))) << "call " << calls;
+    return cached;
+  };
+  Rng rng(5);
+  self_play_game(cfg.mcts, checked, cfg.board_size, cfg.komi, cfg.max_game_moves,
+                 cfg.temperature_moves, rng);
+  const auto counters = w.counters();
+  EXPECT_GT(counters.at("infer_cache_hits"), 0);
+  EXPECT_EQ(counters.at("infer_cache_hits") + counters.at("infer_cache_misses"), calls);
+}
+
+TEST(MiniGoWorkload, InferCacheKeysOnTheSideToPlay) {
+  MiniGoWorkload w(smoke_minigo_config());
+  w.build_model(6);
+  go::Board black(9);
+  black.play(go::Move::at(40));
+  black.play(go::Move::at(30));
+  go::Board white = black;
+  white.play(go::Move::pass());  // the same stones, white to play
+  const auto a = w.infer(black);
+  const auto b = w.infer(white);
+  EXPECT_EQ(w.counters().at("infer_cache_misses"), 2);
+  EXPECT_TRUE(same_bits(a, w.net()->infer(black)));
+  EXPECT_TRUE(same_bits(b, w.net()->infer(white)));
+  EXPECT_FALSE(same_bits(a, b));
+  EXPECT_TRUE(same_bits(w.infer(black), a));
+  EXPECT_TRUE(same_bits(w.infer(white), b));
+  EXPECT_EQ(w.counters().at("infer_cache_hits"), 2);
+}
+
+TEST(MiniGoWorkload, InferCacheStartsOverWhenFull) {
+  // The cache holds as many positions as self-play and evaluate() can meet
+  // between two clears; one more clears it before it is stored.
+  const MiniGoWorkload::Config cfg = smoke_minigo_config();
+  const std::int64_t capacity = cfg.selfplay_games_per_epoch * cfg.max_game_moves *
+                                    cfg.mcts.simulations +
+                                cfg.reference_games * cfg.reference_moves_per_game;
+  MiniGoWorkload w(cfg);
+  w.build_model(8);
+  std::vector<go::Board> boards;
+  for (std::int64_t p = 0; p < 81 && std::ssize(boards) <= capacity; ++p)
+    for (std::int64_t q = 0; q < 81 && std::ssize(boards) <= capacity; ++q) {
+      if (q == p) continue;
+      go::Board b(9);
+      b.play(go::Move::at(p));
+      b.play(go::Move::at(q));
+      boards.push_back(b);
+    }
+  for (const go::Board& b : boards) EXPECT_TRUE(same_bits(w.infer(b), w.net()->infer(b)));
+  EXPECT_EQ(w.counters().at("infer_cache_misses"), capacity + 1);
+  // Only the last position survived the clear.
+  EXPECT_TRUE(same_bits(w.infer(boards.back()), w.net()->infer(boards.back())));
+  EXPECT_EQ(w.counters().at("infer_cache_hits"), 1);
+  EXPECT_TRUE(same_bits(w.infer(boards.front()), w.net()->infer(boards.front())));
+  EXPECT_EQ(w.counters().at("infer_cache_misses"), capacity + 2);
+}
+
+TEST(MiniGoWorkload, EvaluateAfterTrainingReadsNoStaleAnswers) {
+  // Self-play fills the cache from the empty board on, then the gradient
+  // steps change the weights: evaluate() must see the new net's answers.
+  const MiniGoWorkload::Config cfg = smoke_minigo_config();
+  MiniGoWorkload w(cfg);
+  w.prepare_data();
+  w.build_model(7);
+  w.train_epoch();
+  const double accuracy = w.evaluate();
+  std::vector<std::int64_t> predicted, reference;
+  for (const go::GameRecord& game : w.reference_games()) {
+    go::Board board(game.board_size, game.komi);
+    const std::size_t limit = std::min(game.moves.size(),
+                                       static_cast<std::size_t>(cfg.reference_moves_per_game));
+    for (std::size_t m = 0; m < limit; ++m) {
+      const auto fresh = w.net()->infer(board);
+      EXPECT_TRUE(same_bits(w.infer(board), fresh)) << "move " << m;
+      std::int64_t best = -1;
+      float best_p = -1.0f;
+      for (const go::Move& mv : board.legal_moves()) {
+        const std::int64_t idx = mv.is_pass() ? board.num_points() : mv.point;
+        if (fresh.first[static_cast<std::size_t>(idx)] > best_p) {
+          best_p = fresh.first[static_cast<std::size_t>(idx)];
+          best = idx;
+        }
+      }
+      predicted.push_back(best);
+      reference.push_back(game.moves[m].is_pass() ? board.num_points() : game.moves[m].point);
+      board.play(game.moves[m]);
+    }
+  }
+  EXPECT_EQ(accuracy, metrics::top1_accuracy(predicted, reference));
+}
+
 TEST(MiniGoWorkload, FixedSeedNondeterminismFlag) {
   // With the flag off, same seed => same first evaluation after an epoch.
   MiniGoWorkload::Config cfg;
